@@ -44,7 +44,7 @@ double run(double rate, bool oracle, uint64_t seed) {
   const int warmup = 500, measured = 10000;
   uint64_t transmissions = 0;
   for (int step = 0; step < warmup + measured; ++step) {
-    const auto tx = scheduler.advance_slot();
+    const auto tx = scheduler.advance_slot_view();
     if (step >= warmup) transmissions += tx.size();
     for (uint64_t a = arrivals.poisson(per_slot); a > 0; --a) {
       // Geometric watch length, mean ~ n/2, clamped to [1, n].

@@ -7,7 +7,7 @@
 // checksum over every transmission and admitted plan); only then is each
 // mode timed separately, auto-scaling its slot count until the measurement
 // is long enough to trust. requests/sec is admissions completed per wall
-// second, advance_slot() included; `speedup` (fast / naive) is the
+// second, advance_slot_view() included; `speedup` (fast / naive) is the
 // machine-portable metric the CI regression guard tracks.
 //
 // Usage: admission_throughput [--smoke] [output.json]
@@ -69,7 +69,7 @@ Run run_mode(int segments, double rate, uint64_t slots, bool fast) {
 
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t slot = 0; slot < slots; ++slot) {
-    for (Segment j : scheduler.advance_slot()) {
+    for (Segment j : scheduler.advance_slot_view()) {
       mix(static_cast<uint64_t>(j));
     }
     const uint64_t batch = arrivals.poisson(rate);

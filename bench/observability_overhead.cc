@@ -100,7 +100,7 @@ Run run_mode(int segments, double rate, uint64_t slots, SinkMode mode) {
 
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t slot = 0; slot < slots; ++slot) {
-    for (Segment j : scheduler.advance_slot()) {
+    for (Segment j : scheduler.advance_slot_view()) {
       mix(static_cast<uint64_t>(j));
     }
     const uint64_t batch = arrivals.poisson(rate);

@@ -24,14 +24,14 @@ void BM_RequestAdmission(benchmark::State& state) {
   Rng rng(1);
   // Prime the schedule to steady state for this load.
   for (int i = 0; i < 500; ++i) {
-    scheduler.advance_slot();
+    scheduler.advance_slot_view();
     for (uint64_t a = rng.poisson(per_slot); a > 0; --a) {
       scheduler.on_request();
     }
   }
   uint64_t requests = 0;
   for (auto _ : state) {
-    scheduler.advance_slot();
+    scheduler.advance_slot_view();
     for (uint64_t a = 1 + rng.poisson(per_slot); a > 0; --a) {
       benchmark::DoNotOptimize(scheduler.on_request());
       ++requests;
@@ -49,7 +49,7 @@ void BM_AdvanceSlot(benchmark::State& state) {
   config.num_segments = 99;
   DhbScheduler scheduler(config);
   for (auto _ : state) {
-    scheduler.advance_slot();
+    scheduler.advance_slot_view();
     benchmark::DoNotOptimize(scheduler.on_request());
   }
 }
@@ -63,7 +63,7 @@ void BM_IdleRequestFullSchedule(benchmark::State& state) {
     DhbConfig config;
     config.num_segments = n;
     DhbScheduler scheduler(config);
-    scheduler.advance_slot();
+    scheduler.advance_slot_view();
     benchmark::DoNotOptimize(scheduler.on_request());
   }
 }

@@ -35,14 +35,14 @@ std::vector<double> run_daily_dhb(double days) {
   const auto total_slots = static_cast<int64_t>(days * 24.0 * 3600.0 / d);
   double next = arrivals.next();
   for (int64_t step = 0; step < total_slots; ++step) {
-    const std::vector<Segment> tx = scheduler.advance_slot();
+    const size_t streams = scheduler.advance_slot_view().size();
     const double slot_end = static_cast<double>(scheduler.current_slot()) * d;
     // Hour of day via the audited helper (cycle_phase is 1-based):
     // cycle_phase(hours + 1, 24) == hours % 24 for hours >= 0.
     const auto hours_elapsed = static_cast<Slot>(slot_end / 3600.0);
     const int hour = static_cast<int>(cycle_phase(hours_elapsed + 1, 24));
     if (step > total_slots / 8) {  // skip warmup day
-      sum[static_cast<size_t>(hour)] += static_cast<double>(tx.size());
+      sum[static_cast<size_t>(hour)] += static_cast<double>(streams);
       count[static_cast<size_t>(hour)] += 1.0;
     }
     while (next < slot_end) {

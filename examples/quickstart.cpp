@@ -35,13 +35,13 @@ void demo_figures_4_and_5() {
                 r.new_instances, r.shared_instances);
   };
 
-  scheduler.advance_slot();  // slot 1
+  scheduler.advance_slot_view();  // slot 1
   admit("request during slot 1 (idle system)   ");
   std::printf("\nFigure 4 — schedule after the first request:\n%s\n",
               pool.render(1, 9).c_str());
 
-  scheduler.advance_slot();  // slot 2
-  scheduler.advance_slot();  // slot 3
+  scheduler.advance_slot_view();  // slot 2
+  scheduler.advance_slot_view();  // slot 3
   admit("request during slot 3 (overlapping)   ");
   std::printf("\nFigure 5 — combined schedules of both requests:\n%s\n",
               pool.render(1, 9).c_str());

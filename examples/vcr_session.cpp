@@ -2,7 +2,7 @@
 //
 // The paper's protocol never cancels a scheduled transmission, which makes
 // VCR operations cheap: a paused client simply stops consuming, and a
-// resume is a suffix admission (on_resume) that shares whatever the
+// resume is a suffix admission (on_range(f, n)) that shares whatever the
 // ongoing schedule already carries. This example walks one evening at a
 // small VOD service: clients arrive, some pause for a break, everyone's
 // playout contract is verified, and the channel usage is reported.

@@ -22,12 +22,16 @@
 //          [--slo-out P]     write SLO burn-rate JSONL to P
 //
 // Prints average/maximum bandwidth and protocol-specific diagnostics.
-// Exit code 0 on success, 2 on bad usage.
+// Exit code 0 on success, 2 on bad usage: an unknown flag, a number that
+// does not parse whole, is not finite or does not fit its type, a value
+// out of range, or a horizon past kMaxHorizonSlots (schedule/slot_math.h).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "core/dhb_simulator.h"
 #include "obs/export.h"
@@ -40,6 +44,7 @@
 #include "protocols/skyscraper.h"
 #include "protocols/stream_tapping.h"
 #include "protocols/ud.h"
+#include "schedule/slot_math.h"
 #include "server/multi_video.h"
 
 using namespace vod;
@@ -77,27 +82,43 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// Reads all of `text` as a T: no trailing characters, in T's range, and
+// finite for floating-point T.
+template <typename T>
+bool parse_number(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool parse(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (i + 1 >= argc) return false;
     const char* value = argv[++i];
+    bool ok = true;
     if (flag == "--protocol") {
       opt->protocol = value;
     } else if (flag == "--rate") {
-      opt->rate = std::atof(value);
+      ok = parse_number(value, &opt->rate);
     } else if (flag == "--segments") {
-      opt->segments = std::atoi(value);
+      ok = parse_number(value, &opt->segments);
     } else if (flag == "--duration") {
-      opt->duration = std::atof(value);
+      ok = parse_number(value, &opt->duration);
     } else if (flag == "--hours") {
-      opt->hours = std::atof(value);
+      ok = parse_number(value, &opt->hours);
     } else if (flag == "--seed") {
-      opt->seed = static_cast<uint64_t>(std::atoll(value));
+      ok = parse_number(value, &opt->seed);
     } else if (flag == "--videos") {
-      opt->videos = std::atoi(value);
+      ok = parse_number(value, &opt->videos);
     } else if (flag == "--threads") {
-      opt->threads = std::atoi(value);
+      ok = parse_number(value, &opt->threads);
     } else if (flag == "--policy") {
       opt->policy = value;
     } else if (flag == "--trace-out") {
@@ -111,9 +132,19 @@ bool parse(int argc, char** argv, Options* opt) {
     } else {
       return false;
     }
+    if (!ok) return false;
   }
-  return opt->rate > 0 && opt->segments > 0 && opt->duration > 0 &&
-         opt->hours > 0 && opt->videos > 0 && opt->threads >= 0;
+  if (!(opt->rate > 0 && opt->segments > 0 && opt->duration > 0 &&
+        opt->hours > 0 && opt->videos > 0 && opt->threads >= 0)) {
+    return false;
+  }
+  // The catalog engine runs its own fixed slot length; the single-video
+  // protocols slice the video into `segments` slots.
+  const double slot_s =
+      opt->protocol == "multi"
+          ? MultiVideoConfig{}.slot_duration_s
+          : VideoParams{opt->duration, opt->segments}.slot_duration_s();
+  return horizon_fits(opt->hours, slot_s);
 }
 
 void report(const char* name, double avg, double max, uint64_t requests) {

@@ -299,8 +299,8 @@ void ScheduleAuditor::check_counters(const DhbScheduler& d,
 
   if (attached_) {
     // Every new instance is transmitted exactly once: instances created
-    // since attach() either already left through advance_slot() or are
-    // still in the window. DHB never cancels, so this is an equality.
+    // since attach() either already left through advance_slot_view() or
+    // are still in the window. DHB never cancels, so this is an equality.
     const uint64_t created = fresh - base_new_;
     const int64_t still_scheduled =
         d.schedule().total_scheduled() - base_scheduled_;
@@ -375,7 +375,7 @@ void ScheduleAuditor::track_plan(const ClientPlan& plan, Segment first_segment,
 }
 
 AuditReport ScheduleAuditor::on_advance(const DhbScheduler& d,
-                                        const std::vector<Segment>& transmitted) {
+                                        std::span<const Segment> transmitted) {
   AuditReport report;
   const Slot now = d.current_slot();
   if (seen_scheduler_ && now != last_now_ + 1) {

@@ -9,7 +9,7 @@
 //   * sharing      — each segment has at most one scheduled future instance.
 //                    This is the paper's §3 invariant and holds for uniform
 //                    windows (pure on_request workloads). Clamped-window
-//                    admissions (on_resume/on_range) and the client-
+//                    admissions (mid-video on_range) and the client-
 //                    bandwidth-capped variant may legally double-schedule;
 //                    exempt them via AuditOptions::allow_multiple_instances;
 //   * containment  — every instance lies in (now, now+window], the
@@ -28,7 +28,7 @@
 //                    (now, hi]. Skipped while a transient load overlay is
 //                    live (the index legitimately diverges from raw loads);
 //   * clock        — the slot clock never moves backwards, and advances by
-//                    exactly one per observed advance_slot();
+//                    exactly one per observed advance_slot_view();
 //   * conservation — lifetime counters (incl. rejected bounded admissions
 //                    and work units) only grow, slot probes cover the
 //                    admitted segment demand plus every rejected attempt,
@@ -45,12 +45,13 @@
 //                    a scheduler and feed it plans/advances, then call
 //                    audit() / audit_schedule() and inspect the AuditReport;
 //   * debug hook   — audit_or_die(scheduler) aborts through VOD_CHECK on
-//                    the first violation. DhbScheduler::advance_slot() calls
-//                    it automatically in VOD_AUDIT builds (cmake
+//                    the first violation. DhbScheduler::advance_slot_view()
+//                    calls it automatically in VOD_AUDIT builds (cmake
 //                    -DVOD_AUDIT=ON), making every simulation self-checking.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,9 +105,9 @@ struct AuditReport {
 struct AuditOptions {
   // Set when the workload may legitimately schedule several future
   // instances of one segment: the client-bandwidth-capped variant
-  // (DhbConfig::client_stream_cap > 0), or any mix containing
-  // on_resume()/on_range() admissions (their clamped windows can miss an
-  // instance scheduled beyond the tightened deadline).
+  // (DhbConfig::client_stream_cap > 0), or any mix containing mid-video
+  // on_range() admissions (their clamped windows can miss an instance
+  // scheduled beyond the tightened deadline).
   bool allow_multiple_instances = false;
 };
 
@@ -126,23 +127,24 @@ class ScheduleAuditor {
 
   // Captures baseline counters so audit() can also enforce the instance
   // conservation law (new instances == transmitted + still scheduled).
-  // Call before the first admission, and report every advance_slot()
-  // result through on_advance().
+  // Call before the first admission, and report every
+  // advance_slot_view() result through on_advance().
   void attach(const DhbScheduler& scheduler);
 
   // Registers an admitted plan for window-containment auditing. `periods`
   // is the effective per-entry maximum-delay vector the admission ran
   // under: scheduler.periods() for on_request()/on_request_bounded(),
-  // resume_periods(first) for on_resume(first), and the appropriate prefix
-  // for on_range(). Expired plans are pruned automatically.
+  // resume_periods(first) for a resume on_range(first, n), and the
+  // appropriate prefix for other ranges. Expired plans are pruned
+  // automatically.
   void track_plan(const ClientPlan& plan, Segment first_segment,
                   std::vector<int> periods);
 
-  // Reports one advance_slot() outcome: checks the clock moved forward by
-  // exactly one and accumulates the transmitted-instance statistics the
-  // conservation and metering audits use.
+  // Reports one advance_slot_view() outcome: checks the clock moved
+  // forward by exactly one and accumulates the transmitted-instance
+  // statistics the conservation and metering audits use.
   AuditReport on_advance(const DhbScheduler& scheduler,
-                         const std::vector<Segment>& transmitted);
+                         std::span<const Segment> transmitted);
 
   // Compares a meter fed exactly one add_slot(transmitted.size()) per
   // observed on_advance() — and no warmup trimming — with the auditor's
@@ -194,7 +196,7 @@ class ScheduleAuditor {
 // The cheap per-slot debug hook: deep-audits `scheduler` (structural
 // invariants only — no plan tracking) and aborts through VOD_CHECK with the
 // report text on the first violation. Compiled in always; called on every
-// advance_slot() when the library is built with VOD_AUDIT.
+// advance_slot_view() when the library is built with VOD_AUDIT.
 void audit_or_die(const DhbScheduler& scheduler);
 
 }  // namespace vod

@@ -48,15 +48,14 @@ constexpr int kClientSaturatedMask = 1 << 28;
 // constant-nullptr current_qoe() folds the whole block away under
 // VOD_OBSERVE=OFF.
 inline void record_admission_qoe(uint64_t count,
-                                 const DhbRequestResult& result,
-                                 int segments) {
+                                 const DhbRequestResult& result) {
   if (obs::QoeShard* qoe = obs::current_qoe()) {
     qoe->record_admission(
         count, result.plan.arrival_slot,
         static_cast<double>(result.plan.reception_slot.front() -
                             result.plan.arrival_slot),
         static_cast<uint64_t>(result.cap_violations),
-        static_cast<uint64_t>(segments));
+        static_cast<uint64_t>(result.plan.reception_slot.size()));
   }
 }
 
@@ -164,119 +163,62 @@ std::optional<Slot> DhbScheduler::choose_capped_slot(Slot lo, Slot hi,
 }
 
 DhbRequestResult DhbScheduler::on_request() {
-  VOD_DCHECK_SERIAL(serial_);  // covers the memo fast path, which skips admit()
-  if (config_.coalesce_same_slot && config_.client_stream_cap == 0) {
-    if (memo_valid_) {
-      // Follower: the leader (or an earlier follower) already forced every
-      // segment into the window, so this request shares all of them — the
-      // plan is the leader's, no heuristic runs, no rng is consumed, and
-      // the counters advance exactly as a sequential re-admission's would.
-      c_requests_->inc();
-      c_shared_->inc(static_cast<uint64_t>(config_.num_segments));
-      c_probes_->inc(sum_periods_);
-      c_work_->inc(kWorkMemoCopy);
-      c_coalesced_->inc();
-      c_adm_all_shared_->inc();
-      record_admission_qoe(1, memo_result_, config_.num_segments);
-      VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                        {"count", 1},
-                        {"shared", config_.num_segments});
-      return memo_result_;
-    }
-    admit(1, config_.num_segments, &result_scratch_);
-    // Cache the *follower* view: same plan, everything shared.
-    memo_result_ = result_scratch_;
-    memo_result_.new_instances = 0;
-    memo_result_.shared_instances = config_.num_segments;
-    memo_valid_ = true;
-    return result_scratch_;
-  }
-  admit(1, config_.num_segments, &result_scratch_);
-  return result_scratch_;
+  return admit_batch(1, config_.num_segments, 1);
 }
 
 DhbRequestResult DhbScheduler::on_request_batch(uint64_t count) {
-  VOD_DCHECK_SERIAL(serial_);
-  VOD_CHECK_MSG(count >= 1, "on_request_batch needs at least one request");
-  if (count == 1) return on_request();
-  if (config_.coalesce_same_slot && config_.client_stream_cap == 0) {
-    uint64_t followers = count;
-    if (!memo_valid_) {
-      // Leader: one real admission whose QoE record covers the whole
-      // batch — every same-slot request shares the leader's plan, wait,
-      // and deadlines, so one record per batch is exact and keeps the
-      // hot path at a single QoE touch.
-      admit(1, config_.num_segments, &result_scratch_, count);
-      memo_result_ = result_scratch_;
-      memo_result_.new_instances = 0;
-      memo_result_.shared_instances = config_.num_segments;
-      memo_valid_ = true;
-      followers = count - 1;
-    } else {
-      record_admission_qoe(count, memo_result_, config_.num_segments);
-    }
-    // All followers are identical; advance the counters in bulk.
-    c_requests_->inc(followers);
-    c_shared_->inc(followers * static_cast<uint64_t>(config_.num_segments));
-    c_probes_->inc(followers * sum_periods_);
-    c_work_->inc(followers * kWorkMemoCopy);
-    c_coalesced_->inc(followers);
-    c_adm_all_shared_->inc(followers);
-    VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                      {"count", static_cast<int64_t>(followers)},
-                      {"shared", config_.num_segments});
-    return memo_result_;
-  }
-  DhbRequestResult result = on_request();
-  for (uint64_t i = 1; i < count; ++i) result = on_request();
-  return result;
+  return admit_batch(1, config_.num_segments, count);
 }
 
 void DhbScheduler::on_request_batch_discard(uint64_t count) {
-  VOD_DCHECK_SERIAL(serial_);
-  VOD_CHECK_MSG(count >= 1, "on_request_batch needs at least one request");
-  if (config_.coalesce_same_slot && config_.client_stream_cap == 0) {
-    uint64_t followers = count;
-    if (!memo_valid_) {
-      // Leader: one real admission, memoized as the follower view —
-      // exactly on_request()'s leader path, minus the returned copy. Its
-      // QoE record covers the whole batch (shared plan => shared wait).
-      admit(1, config_.num_segments, &result_scratch_, count);
-      memo_result_ = result_scratch_;
-      memo_result_.new_instances = 0;
-      memo_result_.shared_instances = config_.num_segments;
-      memo_valid_ = true;
-      followers = count - 1;
-    } else {
-      record_admission_qoe(count, memo_result_, config_.num_segments);
-    }
-    if (followers > 0) {
-      c_requests_->inc(followers);
-      c_shared_->inc(followers * static_cast<uint64_t>(config_.num_segments));
-      c_probes_->inc(followers * sum_periods_);
-      c_work_->inc(followers * kWorkMemoCopy);
-      c_coalesced_->inc(followers);
-      c_adm_all_shared_->inc(followers);
-      VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                        {"count", static_cast<int64_t>(followers)},
-                        {"shared", config_.num_segments});
-    }
-    return;
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    admit(1, config_.num_segments, &result_scratch_);
-  }
-}
-
-DhbRequestResult DhbScheduler::on_resume(Segment first_segment) {
-  admit(first_segment, config_.num_segments, &result_scratch_);
-  return result_scratch_;
+  admit_batch(1, config_.num_segments, count);
 }
 
 DhbRequestResult DhbScheduler::on_range(Segment first_segment,
                                         Segment last_segment) {
-  admit(first_segment, last_segment, &result_scratch_);
-  return result_scratch_;
+  return admit_batch(first_segment, last_segment, 1);
+}
+
+const DhbRequestResult& DhbScheduler::admit_batch(Segment first_segment,
+                                                  Segment last_segment,
+                                                  uint64_t count) {
+  VOD_DCHECK_SERIAL(serial_);  // covers the memo path, which skips admit()
+  VOD_CHECK_MSG(count >= 1, "an admission needs at least one request");
+  const int n = config_.num_segments;
+  if (!config_.coalesce_same_slot || config_.client_stream_cap != 0 ||
+      first_segment != 1 || last_segment != n) {
+    for (uint64_t i = 0; i < count; ++i) admit(first_segment, last_segment, 1);
+    return result_scratch_;
+  }
+  uint64_t followers = count;
+  if (!memo_valid_) {
+    // Leader: one real admission whose QoE record covers the whole batch —
+    // every same-slot request shares the leader's plan, wait, and
+    // deadlines, so one record per batch is exact. The memo caches the
+    // *follower* view: same plan, everything shared.
+    admit(1, n, count);
+    memo_result_ = result_scratch_;
+    memo_result_.new_instances = 0;
+    memo_result_.shared_instances = n;
+    memo_valid_ = true;
+    if (--followers == 0) return result_scratch_;
+  } else {
+    record_admission_qoe(count, memo_result_);
+  }
+  // Followers: the leader already forced every segment into the window, so
+  // each further request shares all of them — the plan is the leader's, no
+  // heuristic runs, no rng is consumed, and the counters advance in bulk
+  // exactly as `followers` sequential re-admissions' would.
+  c_requests_->inc(followers);
+  c_shared_->inc(followers * static_cast<uint64_t>(n));
+  c_probes_->inc(followers * sum_periods_);
+  c_work_->inc(followers * kWorkMemoCopy);
+  c_coalesced_->inc(followers);
+  c_adm_all_shared_->inc(followers);
+  VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
+                    {"count", static_cast<int64_t>(followers)},
+                    {"shared", n});
+  return memo_result_;
 }
 
 std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
@@ -290,9 +232,11 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
   return out;
 }
 
-void DhbScheduler::admit(Segment first_segment, Segment last_segment,
-                         DhbRequestResult* out, uint64_t qoe_count) {
-  VOD_DCHECK_SERIAL(serial_);  // every unmemoized admission funnels through here
+// Inlined into admit_batch(), its only caller, so the leader call of a
+// full request compiles to a copy specialized for first_segment == 1 —
+// the hot admission path, which the generic loop slows by about a tenth.
+[[gnu::always_inline]] inline void DhbScheduler::admit(
+    Segment first_segment, Segment last_segment, uint64_t qoe_count) {
   VOD_CHECK(first_segment >= 1 && first_segment <= config_.num_segments);
   VOD_CHECK(last_segment >= first_segment &&
             last_segment <= config_.num_segments);
@@ -305,7 +249,7 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
   const bool fast = use_index_;
   if (first_segment != 1) had_clamped_admissions_ = true;
 
-  DhbRequestResult& result = *out;
+  DhbRequestResult& result = result_scratch_;
   result.new_instances = 0;
   result.shared_instances = 0;
   result.cap_violations = 0;
@@ -426,17 +370,24 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
 
   if (cap > 0 && fast) schedule_.clear_load_overlay();
   scratch_.rewind(scratch_mark);
+  finish_admission(result, qoe_count, "first", first_segment);
+}
 
+void DhbScheduler::finish_admission(const DhbRequestResult& result,
+                                    uint64_t qoe_count,
+                                    [[maybe_unused]] const char* detail_key,
+                                    [[maybe_unused]] int detail_value) {
   c_requests_->inc();
   c_new_->inc(static_cast<uint64_t>(result.new_instances));
   c_shared_->inc(static_cast<uint64_t>(result.shared_instances));
   (result.new_instances > 0 ? c_adm_placed_ : c_adm_all_shared_)->inc();
-  record_admission_qoe(qoe_count, result, last_segment - first_segment + 1);
+  record_admission_qoe(qoe_count, result);
   VOD_TRACE_INSTANT(result.new_instances > 0 ? "admission/placed"
                                              : "admission/shared",
-                    "dhb", arrival, {"new", result.new_instances},
+                    "dhb", result.plan.arrival_slot,
+                    {"new", result.new_instances},
                     {"shared", result.shared_instances},
-                    {"first", first_segment},
+                    {detail_key, detail_value},
                     {"cap_violations", result.cap_violations});
 }
 
@@ -537,16 +488,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     schedule_.add_instance(placements[p].segment, placements[p].slot);
   }
   scratch_.rewind(scratch_mark);
-  c_requests_->inc();
-  c_new_->inc(static_cast<uint64_t>(result.new_instances));
-  c_shared_->inc(static_cast<uint64_t>(result.shared_instances));
-  (result.new_instances > 0 ? c_adm_placed_ : c_adm_all_shared_)->inc();
-  record_admission_qoe(1, result, n);
-  VOD_TRACE_INSTANT(result.new_instances > 0 ? "admission/placed"
-                                             : "admission/shared",
-                    "dhb", arrival, {"new", result.new_instances},
-                    {"shared", result.shared_instances},
-                    {"channel_cap", channel_cap}, {"cap_violations", 0});
+  finish_admission(result, 1, "channel_cap", channel_cap);
   return result;
 }
 
@@ -582,11 +524,6 @@ std::span<const Segment> DhbScheduler::advance_slot_view() {
   audit_or_die(*this);
 #endif
   return out;
-}
-
-std::vector<Segment> DhbScheduler::advance_slot() {
-  const std::span<const Segment> out = advance_slot_view();
-  return std::vector<Segment>(out.begin(), out.end());
 }
 
 }  // namespace vod

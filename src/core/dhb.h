@@ -11,8 +11,8 @@
 // the current slot i is admitted with on_request(): for each segment S_j
 // (j = 1..n) the window (i, i + T[j]] is examined; an existing instance is
 // shared when present, otherwise a new instance is placed by the configured
-// slot heuristic. advance_slot() moves to the next slot and reports what
-// the server transmits during it.
+// slot heuristic. advance_slot_view() moves to the next slot and reports
+// what the server transmits during it.
 //
 // Complexity. State is O(n + window). *Logical* cost is unchanged from the
 // paper: a request examines O(sum_j T[j]) window slots (total_slot_probes()
@@ -116,23 +116,20 @@ class DhbScheduler {
   // allocation audit holds the engine loop to that).
   void on_request_batch_discard(uint64_t count);
 
-  // Admits a VCR resume/seek: a client that wants to watch segments
-  // first..n starting next slot (it watches S_j during slot
-  // now + (j - first + 1)). The windows are the base windows clamped to
-  // the tighter resume deadlines, so resumed clients share instances with
-  // ordinary requests whenever timing allows. on_request() == on_resume(1).
-  // The returned plan's reception_slot[0] corresponds to segment `first`.
-  DhbRequestResult on_resume(Segment first_segment);
-
-  // General range admission: watch segments first..last starting next
-  // slot. on_request() == on_range(1, n); on_resume(f) == on_range(f, n).
-  // A declared-length prefix (on_range(1, L)) models a viewer known to
-  // leave after L segments — the oracle against which the cost of DHB's
-  // never-cancel rule under abandonment is measured (bench/abandonment).
+  // General range admission: a client that watches segments first..last
+  // starting next slot (it watches S_j during slot now + (j - first + 1)).
+  // A mid-video join (first > 1) runs under the base windows clamped to
+  // those tighter deadlines, so it shares instances with ordinary requests
+  // whenever timing allows. on_request() == on_range(1, n), memo included.
+  // A VCR resume/seek is on_range(f, n); a declared-length prefix
+  // (on_range(1, L)) models a viewer known to leave after L segments — the
+  // oracle against which the cost of DHB's never-cancel rule under
+  // abandonment is measured (bench/abandonment). The returned plan's
+  // reception_slot[0] corresponds to segment `first`.
   DhbRequestResult on_range(Segment first_segment, Segment last_segment);
 
-  // The effective period vector a resume at `first_segment` runs under
-  // (entry 0 corresponds to that segment); pass it to verify_plan.
+  // The effective period vector a resume on_range(first_segment, n) runs
+  // under (entry 0 corresponds to that segment); pass it to verify_plan.
   std::vector<int> resume_periods(Segment first_segment) const;
 
   // Channel-bounded admission: admits the request only if every segment
@@ -146,12 +143,10 @@ class DhbScheduler {
   std::optional<DhbRequestResult> on_request_bounded(int channel_cap);
 
   // Advances to the next slot; returns the segments the server transmits
-  // during it (the per-slot bandwidth in streams is the vector's size).
-  std::vector<Segment> advance_slot();
-
-  // advance_slot() without the copy: the span views the schedule's slab
-  // row for the new current slot, valid until the next mutating call on
-  // this scheduler. The zero-allocation path the engine loop runs.
+  // during it (the per-slot bandwidth in streams is the span's size). The
+  // span views the schedule's slab row for the new current slot and is
+  // valid until the next mutating call on this scheduler: a caller that
+  // keeps the list longer copies it. Allocation-free on a warm scheduler.
   std::span<const Segment> advance_slot_view() VOD_LIFETIMEBOUND;
 
   // Switches the slot-choice rule live, mid-schedule — the reactive⇄DHB leg
@@ -182,8 +177,8 @@ class DhbScheduler {
   // the cutover a configuration landed on.
   bool placement_index_active() const { return use_index_; }
 
-  // True once any clamped-window admission (on_resume / mid-video
-  // on_range) has run. Such admissions may legally schedule a second
+  // True once any clamped-window admission (a mid-video on_range) has
+  // run. Such admissions may legally schedule a second
   // future instance of a segment, so auditors must drop the strict
   // ≤1-instance sharing check for this scheduler's lifetime.
   bool had_clamped_admissions() const { return had_clamped_admissions_; }
@@ -235,16 +230,35 @@ class DhbScheduler {
                                          const int* client_load,
                                          Slot arrival) const;
 
-  // Shared admission path; windows (now, now + min(T[j], j - first + 1)].
-  // Writes into *out (plan storage is reused across calls, so a warm
-  // scheduler admits without allocating); public entry points copy out of
-  // the member scratch when they must return by value. `qoe_count` is the
-  // number of requests this admission stands for in the QoE accounting:
-  // coalesced batch leaders pass the whole batch size (every same-slot
-  // request shares the leader's plan, wait, and deadlines), so the hot
-  // path pays one QoE record per batch instead of one per entry point.
-  void admit(Segment first_segment, Segment last_segment,
-             DhbRequestResult* out, uint64_t qoe_count = 1);
+  // The one unbounded admission path behind on_request(),
+  // on_request_batch(), on_request_batch_discard() and on_range(): admits
+  // `count` requests for segments first..last arriving in the current
+  // slot and returns the last one's result (result_scratch_ or
+  // memo_result_, valid until the next mutating call). With coalescing on
+  // and uncapped clients, a full request (1..n) is answered from the
+  // same-slot memo when one is valid; otherwise the first runs admit() as
+  // the leader and the rest are followers, charged in bulk. Every other
+  // admission runs admit() once per request. Requires count >= 1.
+  const DhbRequestResult& admit_batch(Segment first_segment,
+                                      Segment last_segment, uint64_t count);
+
+  // One Figure 6 admission under windows
+  // (now, now + min(T[j], j - first + 1)], written into result_scratch_
+  // (plan storage is reused across calls, so a warm scheduler admits
+  // without allocating). `qoe_count` is the number of requests this
+  // admission stands for in the QoE accounting: a coalesced batch leader
+  // passes the whole batch size (every same-slot request shares the
+  // leader's plan, wait, and deadlines), so the hot path pays one QoE
+  // record per batch instead of one per request.
+  void admit(Segment first_segment, Segment last_segment, uint64_t qoe_count);
+
+  // End of every admission that reached the schedule (admit() and a
+  // successful on_request_bounded()): the lifetime counters, one QoE record
+  // standing for `qoe_count` requests, and the placed/shared trace event,
+  // whose third argument is the entry point's own ("first" or
+  // "channel_cap").
+  void finish_admission(const DhbRequestResult& result, uint64_t qoe_count,
+                        const char* detail_key, int detail_value);
 
   // Single-writer discipline (DESIGN.md §11): a scheduler — its schedule,
   // rng, memo, and the lifetime counters in metrics_ — is mutated by one

@@ -1,10 +1,10 @@
 #include "core/dhb_simulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 
 #include "obs/trace.h"
+#include "schedule/slot_math.h"
 #include "util/check.h"
 
 namespace vod {
@@ -20,11 +20,9 @@ SlottedSimResult run_dhb_simulation(const DhbConfig& dhb,
                                     ArrivalProcess& arrivals) {
   VOD_CHECK(dhb.num_segments == sim.video.num_segments);
   const double d = sim.video.slot_duration_s();
-  const uint64_t warmup_slots =
-      static_cast<uint64_t>(std::ceil(sim.warmup_hours * 3600.0 / d));
+  const uint64_t warmup_slots = horizon_slots(sim.warmup_hours, d);
   const uint64_t total_slots =
-      warmup_slots +
-      static_cast<uint64_t>(std::ceil(sim.measured_hours * 3600.0 / d));
+      warmup_slots + horizon_slots(sim.measured_hours, d);
 
   DhbScheduler scheduler(dhb);
   BandwidthMeter meter(warmup_slots,
@@ -41,17 +39,16 @@ SlottedSimResult run_dhb_simulation(const DhbConfig& dhb,
   double wait_sum = 0.0;
 
   double next_arrival = arrivals.next();
-  // The scheduler's current slot is `s`; requests with arrival time in
-  // [s*d, (s+1)*d) arrive "during slot s+... ". Slot numbering: slot k
-  // covers time [(k-1)*d, k*d); the scheduler starts at slot 0 (time < 0
-  // never has arrivals), so we advance first, then admit.
+  // Slot k covers time [(k-1)*d, k*d), and a request arriving then is
+  // admitted during slot k. The scheduler starts at slot 0 (time < 0 never
+  // has arrivals), so each step advances first, then admits.
   for (uint64_t step = 0; step < total_slots; ++step) {
-    const std::vector<Segment> transmitted = scheduler.advance_slot();
+    const size_t streams = scheduler.advance_slot_view().size();
     const Slot now = scheduler.current_slot();
     const bool measuring = step >= warmup_slots;
-    meter.add_slot(static_cast<int>(transmitted.size()));
+    meter.add_slot(static_cast<int>(streams));
     if (measuring) {
-      stream_histogram.add(static_cast<double>(transmitted.size()));
+      stream_histogram.add(static_cast<double>(streams));
     }
 
     const double slot_end = static_cast<double>(now) * d;
@@ -117,11 +114,9 @@ BoundedSimResult run_bounded_dhb_simulation(const DhbConfig& dhb,
   VOD_CHECK(dhb.num_segments == sim.base.video.num_segments);
   VOD_CHECK(sim.channel_cap >= 1);
   const double d = sim.base.video.slot_duration_s();
-  const uint64_t warmup_slots =
-      static_cast<uint64_t>(std::ceil(sim.base.warmup_hours * 3600.0 / d));
+  const uint64_t warmup_slots = horizon_slots(sim.base.warmup_hours, d);
   const uint64_t total_slots =
-      warmup_slots +
-      static_cast<uint64_t>(std::ceil(sim.base.measured_hours * 3600.0 / d));
+      warmup_slots + horizon_slots(sim.base.measured_hours, d);
 
   DhbScheduler scheduler(dhb);
   BandwidthMeter meter(warmup_slots,
@@ -135,9 +130,9 @@ BoundedSimResult run_bounded_dhb_simulation(const DhbConfig& dhb,
 
   double next_arrival = arrivals.next();
   for (uint64_t step = 0; step < total_slots; ++step) {
-    const std::vector<Segment> transmitted = scheduler.advance_slot();
-    VOD_CHECK(static_cast<int>(transmitted.size()) <= sim.channel_cap);
-    meter.add_slot(static_cast<int>(transmitted.size()));
+    const int streams = static_cast<int>(scheduler.advance_slot_view().size());
+    VOD_CHECK(streams <= sim.channel_cap);
+    meter.add_slot(streams);
     const Slot now = scheduler.current_slot();
     const bool measuring = step >= warmup_slots;
 

@@ -1,10 +1,10 @@
 #include "protocols/on_demand.h"
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "schedule/bandwidth_meter.h"
+#include "schedule/slot_math.h"
 #include "sim/random.h"
 #include "util/check.h"
 
@@ -21,11 +21,9 @@ SlottedSimResult run_on_demand_simulation(const StaticMapping& mapping,
                                           ArrivalProcess& arrivals) {
   VOD_CHECK(mapping.num_segments() == sim.video.num_segments);
   const double d = sim.video.slot_duration_s();
-  const uint64_t warmup_slots =
-      static_cast<uint64_t>(std::ceil(sim.warmup_hours * 3600.0 / d));
+  const uint64_t warmup_slots = horizon_slots(sim.warmup_hours, d);
   const uint64_t total_slots =
-      warmup_slots +
-      static_cast<uint64_t>(std::ceil(sim.measured_hours * 3600.0 / d));
+      warmup_slots + horizon_slots(sim.measured_hours, d);
 
   BandwidthMeter meter(warmup_slots,
                        std::max<uint64_t>(1, (total_slots - warmup_slots) / 32));

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "schedule/bandwidth_meter.h"
+#include "schedule/slot_math.h"
 #include "sim/random.h"
 #include "util/check.h"
 
@@ -19,11 +20,9 @@ SlottedSimResult run_ud_simulation(const SlottedSimConfig& sim,
                                    ArrivalProcess& arrivals) {
   const FbMapping fb(sim.video.num_segments);
   const double d = sim.video.slot_duration_s();
-  const uint64_t warmup_slots =
-      static_cast<uint64_t>(std::ceil(sim.warmup_hours * 3600.0 / d));
+  const uint64_t warmup_slots = horizon_slots(sim.warmup_hours, d);
   const uint64_t total_slots =
-      warmup_slots +
-      static_cast<uint64_t>(std::ceil(sim.measured_hours * 3600.0 / d));
+      warmup_slots + horizon_slots(sim.measured_hours, d);
 
   std::vector<int> rotation(static_cast<size_t>(fb.streams()));
   for (int k = 0; k < fb.streams(); ++k) {

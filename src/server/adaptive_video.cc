@@ -254,10 +254,13 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
       // The scheduler records this batch's QoE itself, in its local clock;
       // the offset translates those sample slots to the video's clock.
       if (qoe != nullptr) qoe->set_slot_offset(offset);
-      DhbRequestResult result = scheduler_->on_request_batch(count);
-      if (qoe != nullptr) qoe->set_slot_offset(0);
-      if (probe_ != nullptr) {
-        ClientPlan plan = result.plan;
+      // Only a probe reads the plan; without one, nothing is copied out.
+      if (probe_ == nullptr) {
+        scheduler_->on_request_batch_discard(count);
+        if (qoe != nullptr) qoe->set_slot_offset(0);
+      } else {
+        ClientPlan plan = scheduler_->on_request_batch(count).plan;
+        if (qoe != nullptr) qoe->set_slot_offset(0);
         plan.arrival_slot += offset;
         for (Slot& s : plan.reception_slot) s += offset;
         probe_->on_admission(plan, scheduler_->periods(), count, mode_);

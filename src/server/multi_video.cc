@@ -1,7 +1,6 @@
 #include "server/multi_video.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
@@ -9,6 +8,7 @@
 #include "obs/qoe.h"
 #include "obs/trace.h"
 #include "protocols/npb.h"
+#include "schedule/slot_math.h"
 #include "sim/arrival_process.h"
 #include "sim/stats.h"
 #include "util/check.h"
@@ -273,8 +273,6 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
                     config.diurnal_peak_requests_per_hour >=
                         config.total_requests_per_hour,
                 "diurnal peak must be at least the off-peak rate");
-  VOD_CHECK(config.warmup_hours >= 0.0);
-  VOD_CHECK(config.measured_hours >= 0.0);
   VOD_CHECK_MSG(config.num_threads >= 0, "num_threads: 0 = auto, n >= 1");
 
   const int V = config.catalog_size;
@@ -282,11 +280,9 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
 
   CatalogPlan plan;
   plan.config = &config;
-  plan.warmup_slots =
-      static_cast<uint64_t>(std::ceil(config.warmup_hours * 3600.0 / d));
+  plan.warmup_slots = horizon_slots(config.warmup_hours, d);
   plan.total_slots =
-      plan.warmup_slots +
-      static_cast<uint64_t>(std::ceil(config.measured_hours * 3600.0 / d));
+      plan.warmup_slots + horizon_slots(config.measured_hours, d);
   plan.rate_per_s = per_hour(config.total_requests_per_hour);
   plan.peak_per_hour = config.diurnal_peak_requests_per_hour;
 

@@ -73,7 +73,8 @@ void VodServer::resume(ClientId id) {
     info.state = SessionState::kFinished;
     return;
   }
-  const DhbRequestResult r = scheduler_.on_resume(info.next_segment);
+  const DhbRequestResult r = scheduler_.on_range(
+      info.next_segment, scheduler_.num_segments());
   info.playout_ok =
       info.playout_ok &&
       verify_plan(r.plan, scheduler_.resume_periods(info.next_segment))

@@ -10,7 +10,7 @@
 //             already scheduled are never cancelled — other clients may
 //             share them);
 //   resume()  re-admit the client from its next unwatched segment via the
-//             scheduler's suffix admission (on_resume);
+//             scheduler's suffix admission on_range(next, n);
 //   stop()    abandon the session.
 //
 // Every (re-)admission is verified against the playout contract at the

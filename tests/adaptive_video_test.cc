@@ -219,7 +219,7 @@ TEST(DhbScheduler, PlacementAuditStaysGreenAcrossHeuristicSwitch) {
   auto churn = [&](int slots) {
     for (int i = 0; i < slots; ++i) {
       s.on_request_batch(static_cast<uint64_t>(1 + i % 3));
-      s.advance_slot();
+      s.advance_slot_view();
     }
   };
 

@@ -19,7 +19,7 @@ DhbConfig small_config(int n) {
 
 TEST(BoundedAdmission, AdmitsWhenCapLoose) {
   DhbScheduler s(small_config(6));
-  s.advance_slot();
+  s.advance_slot_view();
   const auto r = s.on_request_bounded(6);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->new_instances, 6);
@@ -29,8 +29,8 @@ TEST(BoundedAdmission, AdmitsWhenCapLoose) {
 TEST(BoundedAdmission, MatchesUnboundedWhenGenerous) {
   DhbScheduler a(small_config(8));
   DhbScheduler b(small_config(8));
-  a.advance_slot();
-  b.advance_slot();
+  a.advance_slot_view();
+  b.advance_slot_view();
   const DhbRequestResult ua = a.on_request();
   const auto ub = b.on_request_bounded(100);
   ASSERT_TRUE(ub.has_value());
@@ -42,9 +42,9 @@ TEST(BoundedAdmission, RefusesWithoutMutation) {
   // fits; a second one in the same slot shares everything; but a request
   // one slot later needs fresh S1 in a slot already carrying S2 -> refuse.
   DhbScheduler s(small_config(4));
-  s.advance_slot();
+  s.advance_slot_view();
   ASSERT_TRUE(s.on_request_bounded(1).has_value());
-  s.advance_slot();
+  s.advance_slot_view();
   const int before = s.schedule().total_scheduled();
   // S1 window is (2,3]; slot 3 already carries S2: load 1 == cap.
   EXPECT_FALSE(s.on_request_bounded(1).has_value());
@@ -56,7 +56,7 @@ TEST(BoundedAdmission, CountsOwnTentativePlacements) {
   // tentative placements fill the earlier slots; the request must still
   // succeed (one instance per slot).
   DhbScheduler s(small_config(10));
-  s.advance_slot();
+  s.advance_slot_view();
   const auto r = s.on_request_bounded(1);
   ASSERT_TRUE(r.has_value());
   for (Segment j = 1; j <= 10; ++j) {
@@ -71,11 +71,11 @@ TEST(BoundedAdmission, RejectionCountsTheAttemptNotARequest) {
   // lands in total_rejected_admissions() while total_requests() stays an
   // admissions-only count.
   DhbScheduler s(small_config(4));
-  s.advance_slot();
+  s.advance_slot_view();
   ASSERT_TRUE(s.on_request_bounded(1).has_value());
   EXPECT_EQ(s.total_rejected_admissions(), 0u);
   EXPECT_EQ(s.total_requests(), 1u);
-  s.advance_slot();
+  s.advance_slot_view();
   const uint64_t probes_before = s.total_slot_probes();
   EXPECT_FALSE(s.on_request_bounded(1).has_value());
   EXPECT_EQ(s.total_rejected_admissions(), 1u);
@@ -90,10 +90,10 @@ TEST(BoundedAdmission, RejectionCountsTheAttemptNotARequest) {
 TEST(BoundedAdmission, AuditorCoversRejectionCounter) {
   DhbScheduler s(small_config(4));
   ScheduleAuditor auditor;
-  s.advance_slot();
+  s.advance_slot_view();
   EXPECT_TRUE(auditor.audit(s).ok());
   ASSERT_TRUE(s.on_request_bounded(1).has_value());
-  s.advance_slot();
+  s.advance_slot_view();
   EXPECT_FALSE(s.on_request_bounded(1).has_value());
   // The auditor's conservation pass must accept a rejection-bearing
   // history (counters monotone, probes >= admitted demand + rejections).
@@ -102,9 +102,9 @@ TEST(BoundedAdmission, AuditorCoversRejectionCounter) {
 
 TEST(BoundedAdmission, RejectionCounterAccumulates) {
   DhbScheduler s(small_config(4));
-  s.advance_slot();
+  s.advance_slot_view();
   ASSERT_TRUE(s.on_request_bounded(1).has_value());
-  s.advance_slot();
+  s.advance_slot_view();
   for (uint64_t i = 1; i <= 3; ++i) {
     EXPECT_FALSE(s.on_request_bounded(1).has_value());
     EXPECT_EQ(s.total_rejected_admissions(), i);
@@ -113,7 +113,7 @@ TEST(BoundedAdmission, RejectionCounterAccumulates) {
 
 TEST(BoundedAdmission, SharedInstancesDoNotCountAgainstCap) {
   DhbScheduler s(small_config(6));
-  s.advance_slot();
+  s.advance_slot_view();
   ASSERT_TRUE(s.on_request_bounded(1).has_value());
   // Same slot: everything is shared; no new channel needed.
   const auto r = s.on_request_bounded(1);
@@ -125,7 +125,7 @@ TEST(BoundedAdmissionDeath, RequiresUncappedClients) {
   DhbConfig c = small_config(4);
   c.client_stream_cap = 2;
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   EXPECT_DEATH(s.on_request_bounded(4), "unlimited client bandwidth");
 }
 

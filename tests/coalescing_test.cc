@@ -1,12 +1,16 @@
 // Same-slot request coalescing (DhbConfig::coalesce_same_slot) and the
-// on_request_batch entry point: k same-slot requests must be bit-identical
-// to k sequential admissions — plans AND lifetime counters — and the memo
-// must go stale on every event that can change a same-slot plan.
+// batch entry points: k same-slot requests must be bit-identical to k
+// sequential admissions — plans, lifetime counters AND QoE records — and
+// the memo must go stale on every event that can change a same-slot plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/dhb.h"
+#include "obs/qoe.h"
+#include "obs/trace.h"
 
 namespace vod {
 namespace {
@@ -34,6 +38,41 @@ void expect_same_counters(const DhbScheduler& a, const DhbScheduler& b) {
   EXPECT_EQ(a.total_rejected_admissions(), b.total_rejected_admissions());
 }
 
+// Same requests, waits and deadline misses per (video, rung) group.
+// `same_records` also asks for the same number of record_admission()
+// calls: a batch records once, k sequential on_request() calls k times.
+void expect_same_qoe(const obs::QoeShard& a, const obs::QoeShard& b,
+                     bool same_records) {
+  EXPECT_EQ(a.total_requests(), b.total_requests());
+  ASSERT_EQ(a.groups().size(), b.groups().size());
+  auto ib = b.groups().begin();
+  for (const auto& [key, ga] : a.groups()) {
+    const obs::QoeGroup& gb = (ib++)->second;
+    EXPECT_EQ(ga.requests, gb.requests);
+    EXPECT_EQ(ga.segments, gb.segments);
+    EXPECT_EQ(ga.late_segments, gb.late_segments);
+    EXPECT_EQ(ga.wait.count(), gb.wait.count());
+    EXPECT_EQ(ga.wait.sum(), gb.wait.sum());
+    if (same_records) {
+      EXPECT_EQ(ga.admissions, gb.admissions);
+    }
+  }
+}
+
+// Advances both schedulers; true when they transmit the same segments in
+// the same order.
+bool same_advance(DhbScheduler& a, DhbScheduler& b) {
+  return std::ranges::equal(a.advance_slot_view(), b.advance_slot_view());
+}
+
+// Runs `admit` with `qoe` as the thread's ambient QoE shard.
+template <typename Admit>
+void recording_qoe(obs::QoeShard* qoe, Admit admit) {
+  obs::ObsSink sink{nullptr, nullptr, qoe, nullptr};
+  obs::ScopedObsSink scoped(&sink);
+  admit();
+}
+
 TEST(Coalescing, FollowersGetLeadersPlanAllShared) {
   DhbScheduler s(coalescing_config(true));
   const DhbRequestResult leader = s.on_request();
@@ -56,7 +95,7 @@ TEST(Coalescing, KSameSlotRequestsMatchSequentialAdmits) {
       expect_same_result(a, b);
     }
     expect_same_counters(with, without);
-    ASSERT_EQ(with.advance_slot(), without.advance_slot());
+    ASSERT_TRUE(same_advance(with, without));
   }
   EXPECT_GT(with.total_coalesced_requests(), 0u);
   EXPECT_EQ(without.total_coalesced_requests(), 0u);
@@ -64,28 +103,49 @@ TEST(Coalescing, KSameSlotRequestsMatchSequentialAdmits) {
 
 TEST(Coalescing, BatchEqualsSequentialCountersIncluded) {
   DhbScheduler batched(coalescing_config(true));
+  DhbScheduler discarded(coalescing_config(true));
   DhbScheduler sequential(coalescing_config(true));
   DhbScheduler naive(coalescing_config(false));
+  obs::QoeShard batched_qoe;
+  obs::QoeShard discarded_qoe;
+  obs::QoeShard sequential_qoe;
+  obs::QoeShard naive_qoe;
   for (int slot = 0; slot < 20; ++slot) {
     const uint64_t k = 1 + static_cast<uint64_t>(slot % 4);
-    const DhbRequestResult a = batched.on_request_batch(k);
+    DhbRequestResult a;
     DhbRequestResult b;
     DhbRequestResult c;
-    for (uint64_t i = 0; i < k; ++i) {
-      b = sequential.on_request();
-      c = naive.on_request();
-    }
+    recording_qoe(&batched_qoe, [&] { a = batched.on_request_batch(k); });
+    recording_qoe(&discarded_qoe,
+                  [&] { discarded.on_request_batch_discard(k); });
+    recording_qoe(&sequential_qoe, [&] {
+      for (uint64_t i = 0; i < k; ++i) b = sequential.on_request();
+    });
+    recording_qoe(&naive_qoe, [&] {
+      for (uint64_t i = 0; i < k; ++i) c = naive.on_request();
+    });
     expect_same_result(a, b);
     expect_same_result(a, c);
+    expect_same_counters(batched, discarded);
     expect_same_counters(batched, sequential);
     expect_same_counters(batched, naive);
     EXPECT_EQ(batched.total_coalesced_requests(),
+              discarded.total_coalesced_requests());
+    EXPECT_EQ(batched.total_coalesced_requests(),
               sequential.total_coalesced_requests());
+    EXPECT_EQ(batched.total_work_units(), discarded.total_work_units());
     EXPECT_EQ(batched.total_work_units(), sequential.total_work_units());
-    const std::vector<Segment> sent = batched.advance_slot();
-    ASSERT_EQ(sent, sequential.advance_slot());
-    ASSERT_EQ(sent, naive.advance_slot());
+    expect_same_qoe(batched_qoe, discarded_qoe, /*same_records=*/true);
+    expect_same_qoe(batched_qoe, sequential_qoe, /*same_records=*/false);
+    expect_same_qoe(sequential_qoe, naive_qoe, /*same_records=*/true);
+    const std::span<const Segment> sent = batched.advance_slot_view();
+    ASSERT_TRUE(std::ranges::equal(sent, discarded.advance_slot_view()));
+    ASSERT_TRUE(std::ranges::equal(sent, sequential.advance_slot_view()));
+    ASSERT_TRUE(std::ranges::equal(sent, naive.advance_slot_view()));
   }
+#ifndef VOD_OBSERVE_DISABLED
+  EXPECT_GT(batched_qoe.total_requests(), 0u);
+#endif
 }
 
 TEST(Coalescing, AdvanceInvalidatesMemo) {
@@ -93,7 +153,7 @@ TEST(Coalescing, AdvanceInvalidatesMemo) {
   s.on_request();
   s.on_request();
   EXPECT_EQ(s.total_coalesced_requests(), 1u);
-  s.advance_slot();
+  s.advance_slot_view();
   // The next request must be a genuine admission (segment 1's old instance
   // just transmitted, so it needs a fresh one), not a stale memo copy.
   const DhbRequestResult r = s.on_request();
@@ -109,12 +169,12 @@ TEST(Coalescing, ClampedAdmissionInvalidatesMemo) {
     // A resume may schedule an extra instance inside the full window,
     // changing what the *next* full request shares: the memo must not
     // serve the pre-resume plan.
-    expect_same_result(with.on_resume(5), without.on_resume(5));
+    expect_same_result(with.on_range(5, 10), without.on_range(5, 10));
     expect_same_result(with.on_request(), without.on_request());
     expect_same_result(with.on_range(2, 7), without.on_range(2, 7));
     expect_same_result(with.on_request(), without.on_request());
     expect_same_counters(with, without);
-    ASSERT_EQ(with.advance_slot(), without.advance_slot());
+    ASSERT_TRUE(same_advance(with, without));
   }
 }
 
@@ -129,8 +189,8 @@ TEST(Coalescing, BoundedAdmissionInvalidatesMemo) {
     if (a) expect_same_result(*a, *b);
     expect_same_result(with.on_request(), without.on_request());
     expect_same_counters(with, without);
-    ASSERT_EQ(with.advance_slot(), without.advance_slot());
-    ASSERT_EQ(with.advance_slot(), without.advance_slot());
+    ASSERT_TRUE(same_advance(with, without));
+    ASSERT_TRUE(same_advance(with, without));
   }
 }
 

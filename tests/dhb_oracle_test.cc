@@ -1,67 +1,22 @@
-// Differential testing: DhbScheduler against an independent re-derivation
-// of the Figure 6 algorithm built on naive data structures (a plain map of
-// slot -> segment list, linear scans everywhere). Any divergence in the
-// transmitted schedule under randomized workloads flags a bug in one of
-// the two — and since the oracle is a direct transcription of the paper's
-// pseudo-code, in practice in the optimized one.
+// Differential testing: DhbScheduler against NaiveOracle (naive_oracle.h),
+// an independent re-derivation of the Figure 6 algorithm built on naive
+// data structures (a plain map of slot -> segment list, linear scans
+// everywhere). Any divergence in the transmitted schedule under randomized
+// workloads flags a bug in one of the two — and since the oracle is a
+// direct transcription of the paper's pseudo-code, in practice in the
+// optimized one.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/dhb.h"
+#include "naive_oracle.h"
 #include "sim/random.h"
 
 namespace vod {
 namespace {
-
-// A deliberately naive DHB: the paper's Figure 6, verbatim, on a
-// std::map. O(n * window) per request, no sharing index, no ring buffer.
-class OracleDhb {
- public:
-  OracleDhb(int n, std::vector<int> periods)
-      : n_(n), periods_(std::move(periods)) {
-    if (periods_.empty()) {
-      for (int j = 1; j <= n_; ++j) periods_.push_back(j);
-    }
-  }
-
-  void on_request() {
-    const Slot i = now_;
-    for (Segment j = 1; j <= n_; ++j) {
-      const Slot lo = i + 1;
-      const Slot hi = i + periods_[static_cast<size_t>(j - 1)];
-      // "search slots i+1 to i+j for an already scheduled instance of Sj"
-      bool found = false;
-      for (Slot s = lo; s <= hi && !found; ++s) {
-        for (Segment seg : slots_[s]) found = found || seg == j;
-      }
-      if (found) continue;
-      // "let m_min := min {m_k | i+1 <= k <= i+j};
-      //  let k_max := max {k | i+1 <= k <= i+j and m_k = m_min}"
-      size_t m_min = slots_[lo].size();
-      for (Slot s = lo; s <= hi; ++s) m_min = std::min(m_min, slots_[s].size());
-      Slot k_max = lo;
-      for (Slot s = lo; s <= hi; ++s) {
-        if (slots_[s].size() == m_min) k_max = s;
-      }
-      slots_[k_max].push_back(j);
-    }
-  }
-
-  std::vector<Segment> advance_slot() {
-    ++now_;
-    std::vector<Segment> out = slots_[now_];
-    slots_.erase(now_);
-    return out;
-  }
-
- private:
-  int n_;
-  std::vector<int> periods_;
-  Slot now_ = 0;
-  std::map<Slot, std::vector<Segment>> slots_;
-};
 
 void run_differential(int n, std::vector<int> periods, double load,
                       uint64_t seed, int steps) {
@@ -69,19 +24,20 @@ void run_differential(int n, std::vector<int> periods, double load,
   config.num_segments = n;
   config.periods = periods;
   DhbScheduler fast(config);
-  OracleDhb oracle(n, periods);
+  NaiveOracle oracle(n, periods, SlotHeuristic::kMinLoadLatest);
   Rng rng(seed);
 
   for (int step = 0; step < steps; ++step) {
-    std::vector<Segment> a = fast.advance_slot();
-    std::vector<Segment> b = oracle.advance_slot();
+    const std::span<const Segment> sent = fast.advance_slot_view();
+    std::vector<Segment> a(sent.begin(), sent.end());
+    std::vector<Segment> b = oracle.advance();
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     ASSERT_EQ(a, b) << "divergence at slot " << step + 1 << " (n=" << n
                     << ", load=" << load << ")";
     for (uint64_t k = rng.poisson(load); k > 0; --k) {
       fast.on_request();
-      oracle.on_request();
+      oracle.admit_range(1, n);
     }
   }
 }

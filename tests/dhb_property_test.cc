@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "core/dhb.h"
 #include "protocols/harmonic.h"
@@ -37,7 +39,7 @@ TEST_P(DhbPropertyTest, DeadlinesAndSharingInvariant) {
           static_cast<uint64_t>(heuristic));
 
   for (int step = 0; step < 400; ++step) {
-    s.advance_slot();
+    s.advance_slot_view();
     const uint64_t arrivals = rng.poisson(per_slot);
     for (uint64_t a = 0; a < arrivals; ++a) {
       const DhbRequestResult r = s.on_request();
@@ -64,9 +66,9 @@ TEST_P(DhbPropertyTest, PerSlotTransmissionsWellFormed) {
   Rng rng(42 + static_cast<uint64_t>(n));
 
   for (int step = 0; step < 300; ++step) {
-    const std::vector<Segment> tx = s.advance_slot();
+    const std::span<const Segment> tx = s.advance_slot_view();
     ASSERT_LE(static_cast<int>(tx.size()), n);
-    std::vector<Segment> sorted = tx;
+    std::vector<Segment> sorted(tx.begin(), tx.end());
     std::sort(sorted.begin(), sorted.end());
     ASSERT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
                 sorted.end())
@@ -109,7 +111,7 @@ TEST_P(DhbCappedPropertyTest, CapRespectedOrReported) {
   Rng rng(7u * static_cast<uint64_t>(cap) + 1);
 
   for (int step = 0; step < 300; ++step) {
-    s.advance_slot();
+    s.advance_slot_view();
     const uint64_t arrivals = rng.poisson(0.8);
     for (uint64_t a = 0; a < arrivals; ++a) {
       const DhbRequestResult r = s.on_request();
@@ -141,8 +143,8 @@ TEST(DhbSaturation, AverageApproachesHarmonicNumber) {
   uint64_t transmissions = 0;
   const int warmup = 300, measured = 4000;
   for (int step = 0; step < warmup + measured; ++step) {
-    const std::vector<Segment> tx = s.advance_slot();
-    if (step >= warmup) transmissions += tx.size();
+    const size_t streams = s.advance_slot_view().size();
+    if (step >= warmup) transmissions += streams;
     s.on_request();
     if (rng.uniform() < 0.5) s.on_request();
   }
@@ -162,7 +164,7 @@ TEST(DhbSaturation, WirePeriodsWithinBounds) {
   DhbScheduler s(c);
   std::vector<Slot> last(static_cast<size_t>(n) + 1, 0);
   for (int step = 0; step < 1000; ++step) {
-    const std::vector<Segment> tx = s.advance_slot();
+    const std::span<const Segment> tx = s.advance_slot_view();
     const Slot now = s.current_slot();
     for (Segment j : tx) {
       if (last[static_cast<size_t>(j)] != 0) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 namespace vod {
 namespace {
@@ -17,7 +18,7 @@ DhbConfig small_config(int n) {
 // system gets one transmission of S_i scheduled during slot i + 1.
 TEST(Dhb, Figure4IdleSystemSchedule) {
   DhbScheduler s(small_config(6));
-  s.advance_slot();  // now = slot 1
+  s.advance_slot_view();  // now = slot 1
   const DhbRequestResult r = s.on_request();
   EXPECT_EQ(r.new_instances, 6);
   EXPECT_EQ(r.shared_instances, 0);
@@ -31,10 +32,10 @@ TEST(Dhb, Figure4IdleSystemSchedule) {
 // schedules fresh S1 during slot 4 and S2 during slot 5.
 TEST(Dhb, Figure5OverlappingRequests) {
   DhbScheduler s(small_config(6));
-  s.advance_slot();  // slot 1
+  s.advance_slot_view();  // slot 1
   s.on_request();
-  s.advance_slot();  // slot 2
-  s.advance_slot();  // slot 3
+  s.advance_slot_view();  // slot 2
+  s.advance_slot_view();  // slot 3
   const DhbRequestResult r = s.on_request();
   EXPECT_EQ(r.new_instances, 2);
   EXPECT_EQ(r.shared_instances, 4);
@@ -48,20 +49,20 @@ TEST(Dhb, Figure5OverlappingRequests) {
 
 TEST(Dhb, TransmissionsMatchPlans) {
   DhbScheduler s(small_config(6));
-  s.advance_slot();
+  s.advance_slot_view();
   s.on_request();
   // Slots 2..7 each transmit exactly one segment: S1..S6 in order.
   for (Segment j = 1; j <= 6; ++j) {
-    const std::vector<Segment> tx = s.advance_slot();
+    const std::span<const Segment> tx = s.advance_slot_view();
     ASSERT_EQ(tx.size(), 1u) << "slot " << s.current_slot();
     EXPECT_EQ(tx[0], j);
   }
-  EXPECT_TRUE(s.advance_slot().empty());
+  EXPECT_TRUE(s.advance_slot_view().empty());
 }
 
 TEST(Dhb, RequestInSameSlotSharesEverything) {
   DhbScheduler s(small_config(10));
-  s.advance_slot();
+  s.advance_slot_view();
   s.on_request();
   const DhbRequestResult r = s.on_request();
   EXPECT_EQ(r.new_instances, 0);
@@ -73,7 +74,7 @@ TEST(Dhb, RequestInSameSlotSharesEverything) {
 TEST(Dhb, AtMostOneFutureInstancePerSegment) {
   DhbScheduler s(small_config(8));
   for (int step = 0; step < 200; ++step) {
-    s.advance_slot();
+    s.advance_slot_view();
     s.on_request();
     if (step % 3 == 0) s.on_request();
     for (Segment j = 1; j <= 8; ++j) {
@@ -86,7 +87,7 @@ TEST(Dhb, AtMostOneFutureInstancePerSegment) {
 TEST(Dhb, SaturationTransmitsS1EverySlot) {
   DhbScheduler s(small_config(6));
   for (int step = 0; step < 50; ++step) {
-    s.advance_slot();
+    s.advance_slot_view();
     s.on_request();
     if (step >= 2) {
       // With a request in every slot, S1 must be in every slot's schedule.
@@ -104,7 +105,7 @@ TEST(Dhb, CustomPeriodsRestrictWindow) {
   DhbConfig c = small_config(4);
   c.periods = {1, 2, 2, 3};  // S3 must come within 2 slots, S4 within 3
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   EXPECT_LE(r.plan.reception_slot[2], s.current_slot() + 2);
   EXPECT_LE(r.plan.reception_slot[3], s.current_slot() + 3);
@@ -116,7 +117,7 @@ TEST(Dhb, WorkAheadPeriodsAllowDelays) {
   DhbConfig c = small_config(4);
   c.periods = {1, 3, 5, 8};  // VBR-style slack beyond the CBR window
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   EXPECT_EQ(r.plan.reception_slot[0], 2);
   EXPECT_EQ(r.plan.reception_slot[1], 4);   // latest slot in (1, 1+3]
@@ -128,7 +129,7 @@ TEST(Dhb, LatestHeuristicAlwaysPicksWindowEnd) {
   DhbConfig c = small_config(5);
   c.heuristic = SlotHeuristic::kLatest;
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   for (Segment j = 1; j <= 5; ++j) {
     EXPECT_EQ(r.plan.reception_slot[static_cast<size_t>(j - 1)], 1 + j);
@@ -139,7 +140,7 @@ TEST(Dhb, EarliestHeuristicFrontloadsEverything) {
   DhbConfig c = small_config(5);
   c.heuristic = SlotHeuristic::kEarliest;
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   for (Segment j = 1; j <= 5; ++j) {
     EXPECT_EQ(r.plan.reception_slot[static_cast<size_t>(j - 1)], 2);
@@ -150,7 +151,7 @@ TEST(Dhb, MinLoadSpreadsIdleSchedule) {
   // With min-load-latest on an idle system, S_j goes to slot 1 + j: every
   // earlier window slot would carry load from lower segments.
   DhbScheduler s(small_config(12));
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   const PlanDiagnostics d = verify_plan(r.plan);
   EXPECT_EQ(d.max_concurrent_streams, 1);  // perfectly spread
@@ -158,7 +159,7 @@ TEST(Dhb, MinLoadSpreadsIdleSchedule) {
 
 TEST(Dhb, CountersAccumulate) {
   DhbScheduler s(small_config(4));
-  s.advance_slot();
+  s.advance_slot_view();
   s.on_request();
   s.on_request();
   EXPECT_EQ(s.total_requests(), 2u);
@@ -171,7 +172,7 @@ TEST(Dhb, ClientCapLimitsConcurrency) {
   DhbConfig c = small_config(8);
   c.client_stream_cap = 1;
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   const PlanDiagnostics d = verify_plan(r.plan);
   EXPECT_TRUE(d.deadlines_met);
@@ -184,7 +185,7 @@ TEST(Dhb, ClientCapTwoHandlesBurst) {
   c.client_stream_cap = 2;
   DhbScheduler s(c);
   for (int step = 0; step < 60; ++step) {
-    s.advance_slot();
+    s.advance_slot_view();
     const DhbRequestResult r = s.on_request();
     const PlanDiagnostics d = verify_plan(r.plan);
     EXPECT_TRUE(d.deadlines_met);
@@ -202,7 +203,7 @@ TEST(Dhb, CapViolationsReportedWhenImpossible) {
   c.periods = {1, 2, 2, 2};
   c.client_stream_cap = 1;
   DhbScheduler s(c);
-  s.advance_slot();
+  s.advance_slot_view();
   const DhbRequestResult r = s.on_request();
   EXPECT_GT(r.cap_violations, 0);
   EXPECT_TRUE(verify_plan(r.plan, c.periods).deadlines_met);
@@ -215,7 +216,7 @@ TEST(Dhb, CapUnconstrainedWithIdentityPeriods) {
   c.client_stream_cap = 1;
   DhbScheduler s(c);
   for (int step = 0; step < 40; ++step) {
-    s.advance_slot();
+    s.advance_slot_view();
     const DhbRequestResult r = s.on_request();
     EXPECT_EQ(r.cap_violations, 0);
     EXPECT_TRUE(verify_plan(r.plan).deadlines_met);

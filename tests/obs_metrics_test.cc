@@ -117,7 +117,7 @@ TEST(DhbSchedulerMetrics, AccessorsAreRegistryViews) {
   config.num_segments = 20;
   DhbScheduler scheduler(config);
   for (int slot = 0; slot < 30; ++slot) {
-    scheduler.advance_slot();
+    scheduler.advance_slot_view();
     scheduler.on_request_batch(2);
   }
   const obs::MetricShard& m = scheduler.metrics();

@@ -3,6 +3,7 @@
 // reject with the specific violation kind (and a clean schedule must pass).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "analysis/schedule_auditor.h"
@@ -147,7 +148,7 @@ TEST(ScheduleAuditor, SchedulerEndToEndStaysClean) {
       const DhbRequestResult r = dhb.on_request();
       auditor.track_plan(r.plan, 1, dhb.periods());
     }
-    const std::vector<Segment> sent = dhb.advance_slot();
+    const std::span<const Segment> sent = dhb.advance_slot_view();
     meter.add_slot(static_cast<int>(sent.size()));
     EXPECT_TRUE(auditor.on_advance(dhb, sent).ok());
     const AuditReport report = auditor.audit(dhb);
@@ -195,7 +196,7 @@ TEST(ScheduleAuditor, TrackedPlansExpire) {
   const DhbRequestResult r = dhb.on_request();
   auditor.track_plan(r.plan, 1, dhb.periods());
   EXPECT_EQ(auditor.live_plans(), 1u);
-  for (int k = 0; k < 4; ++k) dhb.advance_slot();
+  for (int k = 0; k < 4; ++k) dhb.advance_slot_view();
   EXPECT_TRUE(auditor.audit(dhb).ok());
   EXPECT_EQ(auditor.live_plans(), 0u);
 }
@@ -204,8 +205,8 @@ TEST(ScheduleAuditor, ClockRegressionIsRejected) {
   DhbConfig config;
   config.num_segments = 3;
   DhbScheduler advanced(config);
-  advanced.advance_slot();
-  advanced.advance_slot();
+  advanced.advance_slot_view();
+  advanced.advance_slot_view();
   DhbScheduler fresh(config);
   ScheduleAuditor auditor;
   EXPECT_TRUE(auditor.audit(advanced).ok());
@@ -238,7 +239,7 @@ TEST(ScheduleAuditor, InstanceLeakIsRejected) {
   dhb.on_request();
   // A skipped on_advance() report looks like instances leaking out of the
   // window without being transmitted.
-  dhb.advance_slot();
+  dhb.advance_slot_view();
   const AuditReport report = auditor.audit(dhb);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.has(AuditViolationKind::kInstanceLeak))
@@ -253,7 +254,7 @@ TEST(ScheduleAuditor, MeterDriftIsRejected) {
   auditor.attach(dhb);
   BandwidthMeter meter;
   dhb.on_request();
-  const std::vector<Segment> sent = dhb.advance_slot();
+  const std::span<const Segment> sent = dhb.advance_slot_view();
   meter.add_slot(static_cast<int>(sent.size()));
   auditor.on_advance(dhb, sent);
   meter.add_slot(50);  // phantom slot the scheduler never produced
@@ -269,7 +270,7 @@ TEST(ScheduleAuditor, AuditOrDieAcceptsHealthyScheduler) {
   DhbScheduler dhb(config);
   for (int step = 0; step < 20; ++step) {
     dhb.on_request();
-    dhb.advance_slot();
+    dhb.advance_slot_view();
     audit_or_die(dhb);  // must not fire
   }
 }

@@ -1,12 +1,14 @@
 // Unit tests for schedule/slot_math.h — the one approved home for modular
-// slot arithmetic (enforced by the vod-raw-slot-modulo clang-tidy check).
-// The cases concentrate on the seams the raw `%` idioms got wrong: the
-// 1-based slot convention, cycle boundaries, and negative congruences
-// (C++ `%` truncates toward zero).
+// slot arithmetic (enforced by the vod-raw-slot-modulo clang-tidy check)
+// and for the hours-to-slots horizon conversion. The modular cases
+// concentrate on the seams the raw `%` idioms got wrong: the 1-based slot
+// convention, cycle boundaries, and negative congruences (C++ `%`
+// truncates toward zero).
 #include "schedule/slot_math.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 namespace vod {
@@ -115,6 +117,30 @@ TEST(SlotMath, CyclePhaseGivesHourOfDay) {
   for (Slot hours = 0; hours < 24 * 7; ++hours) {
     EXPECT_EQ(cycle_phase(hours + 1, 24), hours % 24) << "hour " << hours;
   }
+}
+
+TEST(SlotMath, HorizonSlotsRoundsUp) {
+  EXPECT_EQ(horizon_slots(0.0, 72.7), 0u);
+  EXPECT_EQ(horizon_slots(2.0, 60.0), 120u);
+  EXPECT_EQ(horizon_slots(1.0, 7200.0), 1u);  // half a slot still runs
+  EXPECT_EQ(horizon_slots(100.0, 7200.0 / 99.0), 4950u);
+  // The bound itself is accepted (3600-s slots make hours == slots).
+  const auto bound = static_cast<double>(kMaxHorizonSlots);
+  EXPECT_EQ(horizon_slots(bound, 3600.0), kMaxHorizonSlots);
+  EXPECT_FALSE(horizon_fits(bound + 1.0, 3600.0));
+}
+
+TEST(SlotMathDeath, HorizonSlotsRejectsHostileHorizons) {
+  // A horizon whose slot count leaves uint64_t, a catalog horizon far past
+  // any real run, non-finite and negative hours, and a zero slot length.
+  EXPECT_DEATH(horizon_slots(1e300, 7200.0 / 99.0), "horizon");
+  EXPECT_DEATH(horizon_slots(1e12, 72.7), "horizon");
+  EXPECT_DEATH(horizon_slots(std::numeric_limits<double>::infinity(), 72.7),
+               "horizon");
+  EXPECT_DEATH(horizon_slots(std::numeric_limits<double>::quiet_NaN(), 72.7),
+               "horizon");
+  EXPECT_DEATH(horizon_slots(-1.0, 72.7), "horizon");
+  EXPECT_DEATH(horizon_slots(1.0, 0.0), "horizon");
 }
 
 TEST(SlotMath, HelpersAreConstexpr) {

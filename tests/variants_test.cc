@@ -85,7 +85,7 @@ TEST(Variants, ConfigsAreSchedulable) {
   const VariantAnalysis& va = paper_analysis();
   for (const DhbVariant* v : {&va.a, &va.b, &va.c, &va.d}) {
     DhbScheduler s(v->dhb_config());
-    s.advance_slot();
+    s.advance_slot_view();
     const DhbRequestResult r = s.on_request();
     const PlanDiagnostics diag = verify_plan(r.plan, s.periods());
     EXPECT_TRUE(diag.deadlines_met) << v->name;

@@ -65,7 +65,7 @@ TEST_P(VbrPlayoutTest, RandomClientsNeverUnderflow) {
   Rng rng(17);
   int checked = 0;
   for (int step = 0; step < 600; ++step) {
-    scheduler.advance_slot();
+    scheduler.advance_slot_view();
     for (uint64_t a = rng.poisson(0.4); a > 0; --a) {
       const DhbRequestResult r = scheduler.on_request();
       if (step % 7 == 0 && checked < 60) {

@@ -30,10 +30,9 @@ constexpr char kDefaultSlabClasses[] =
 // trigger growth), arena recycling, and the heuristic switch (which
 // invalidates the coalescing memo's plan views).
 constexpr char kDefaultInvalidatingMethods[] =
-    "grow;grow_contents;grow_segments;advance;advance_slot;"
-    "advance_slot_view;add_instance;on_request;on_request_batch;"
-    "on_request_batch_discard;on_resume;on_range;on_request_bounded;"
-    "rewind;reset;set_heuristic;assign";
+    "grow;grow_contents;grow_segments;advance;advance_slot_view;"
+    "add_instance;on_request;on_request_batch;on_request_batch_discard;"
+    "on_range;on_request_bounded;rewind;reset;set_heuristic;assign";
 
 // The std::span specialization behind T (through sugar), or null.
 bool isStdSpan(QualType T) {
