@@ -13,10 +13,11 @@
 #include "bench_common.h"
 
 #include "core/dhb_simulator.h"
+#include "protocols/fast_broadcasting.h"
 #include "protocols/harmonic.h"
 #include "protocols/npb.h"
+#include "protocols/on_demand.h"
 #include "protocols/stream_tapping.h"
-#include "protocols/ud.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -27,6 +28,7 @@ int main(int argc, char** argv) {
   BenchObservability obs(argc, argv);
 
   const VideoParams video;  // two hours, 99 segments
+  const FbMapping ud_mapping(video.num_segments);  // UD = on-demand FB
   const double npb_streams =
       static_cast<double>(NpbMapping::streams_for(video.num_segments));
 
@@ -40,7 +42,8 @@ int main(int argc, char** argv) {
   for (const double rate : paper_rates()) {
     const TappingResult st =
         run_tapping_simulation(tapping_config(rate, TappingMode::kStreamTapping));
-    const SlottedSimResult ud = run_ud_simulation(slotted_config(rate));
+    const SlottedSimResult ud =
+        run_on_demand_simulation(ud_mapping, slotted_config(rate));
     const SlottedSimResult dhb =
         run_dhb_simulation(DhbConfig{}, slotted_config(rate));
     TappingConfig merge_cfg =

@@ -10,8 +10,9 @@
 #include "bench_common.h"
 
 #include "core/dhb_simulator.h"
+#include "protocols/fast_broadcasting.h"
 #include "protocols/npb.h"
-#include "protocols/ud.h"
+#include "protocols/on_demand.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -22,6 +23,7 @@ int main(int argc, char** argv) {
   BenchObservability obs(argc, argv);
 
   const VideoParams video;
+  const FbMapping ud_mapping(video.num_segments);  // UD = on-demand FB
   const double npb_streams =
       static_cast<double>(NpbMapping::streams_for(video.num_segments));
 
@@ -32,7 +34,8 @@ int main(int argc, char** argv) {
   Table table({"req/h", "UD", "DHB", "NPB", "DHB-NPB gap"});
   double worst_gap = 0.0;
   for (const double rate : paper_rates()) {
-    const SlottedSimResult ud = run_ud_simulation(slotted_config(rate));
+    const SlottedSimResult ud =
+        run_on_demand_simulation(ud_mapping, slotted_config(rate));
     const SlottedSimResult dhb =
         run_dhb_simulation(DhbConfig{}, slotted_config(rate));
     const double gap = dhb.max_streams - npb_streams;

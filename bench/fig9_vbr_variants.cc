@@ -16,7 +16,8 @@
 #include "bench_common.h"
 
 #include "core/dhb_simulator.h"
-#include "protocols/ud.h"
+#include "protocols/fast_broadcasting.h"
+#include "protocols/on_demand.h"
 #include "util/table.h"
 #include "vbr/synthetic.h"
 #include "vbr/variants.h"
@@ -78,7 +79,8 @@ int main(int argc, char** argv) {
     SlottedSimConfig ud_sim = slotted_config(rate);
     ud_sim.video.duration_s = static_cast<double>(trace.duration_s());
     ud_sim.video.num_segments = va.a.num_segments;
-    const SlottedSimResult ud = run_ud_simulation(ud_sim);
+    const SlottedSimResult ud =
+        run_on_demand_simulation(FbMapping(va.a.num_segments), ud_sim);
     table.add_numeric_row({rate,
                            ud.avg_streams * va.peak_rate_kbs / 1000.0,
                            run_variant_mbs(va.a, rate),

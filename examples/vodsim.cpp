@@ -37,6 +37,7 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "protocols/batching.h"
+#include "protocols/fast_broadcasting.h"
 #include "protocols/npb.h"
 #include "protocols/on_demand.h"
 #include "protocols/patching.h"
@@ -287,7 +288,8 @@ int main(int argc, char** argv) {
                 100.0 * r.shared_fraction, r.playout_ok ? "ok" : "VIOLATED",
                 r.max_client_streams, r.max_client_buffer_segments);
   } else if (opt.protocol == "ud") {
-    const SlottedSimResult r = run_ud_simulation(sim);
+    const SlottedSimResult r =
+        run_on_demand_simulation(FbMapping(opt.segments), sim);
     report("UD", r.avg_streams, r.max_streams, r.requests);
     std::printf("           closed form %.3f streams\n",
                 ud_expected_bandwidth(sim.video, opt.rate));

@@ -334,6 +334,7 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
           // The fallback must see raw loads, so it always runs the naive
           // scans (the placement index carries the saturation overlay).
           ++result.cap_violations;
+          c_cap_violations_->inc();
           c_work_->inc(kWorkShareProbe);
           if (std::optional<Slot> shared =
                   schedule_.find_instance(j, lo, hi)) {

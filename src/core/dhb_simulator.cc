@@ -27,10 +27,6 @@ SlottedSimResult run_dhb_simulation(const DhbConfig& dhb,
   DhbScheduler scheduler(dhb);
   BandwidthMeter meter(warmup_slots,
                        std::max<uint64_t>(1, (total_slots - warmup_slots) / 32));
-  // Per-slot stream-count distribution for provisioning quantiles (bins of
-  // one stream, [k, k+1) holding count k).
-  Histogram stream_histogram(0.0, static_cast<double>(dhb.num_segments) + 1.0,
-                             static_cast<size_t>(dhb.num_segments) + 1);
 
   SlottedSimResult result;
   uint64_t measured_requests = 0;
@@ -47,9 +43,6 @@ SlottedSimResult run_dhb_simulation(const DhbConfig& dhb,
     const Slot now = scheduler.current_slot();
     const bool measuring = step >= warmup_slots;
     meter.add_slot(static_cast<int>(streams));
-    if (measuring) {
-      stream_histogram.add(static_cast<double>(streams));
-    }
 
     const double slot_end = static_cast<double>(now) * d;
     while (next_arrival < slot_end) {
@@ -81,8 +74,9 @@ SlottedSimResult run_dhb_simulation(const DhbConfig& dhb,
   result.max_streams = meter.max_streams();
   // quantile() returns the bin's upper edge; slot counts are integers in
   // [k, k+1), so subtract the bin width to report the count itself.
-  result.p99_streams = std::max(0.0, stream_histogram.quantile(0.99) - 1.0);
-  result.p999_streams = std::max(0.0, stream_histogram.quantile(0.999) - 1.0);
+  const Histogram& histogram = meter.stream_histogram();
+  result.p99_streams = std::max(0.0, histogram.quantile(0.99) - 1.0);
+  result.p999_streams = std::max(0.0, histogram.quantile(0.999) - 1.0);
   result.avg_ci = meter.mean_ci95();
   result.requests = measured_requests;
   if (measured_requests > 0) {

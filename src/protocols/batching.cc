@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "obs/qoe.h"
 #include "sim/random.h"
+#include "sim/stats.h"
 #include "util/check.h"
 
 namespace vod {
@@ -30,8 +30,7 @@ BatchingResult run_batching_simulation(const BatchingConfig& config,
   const double w_hi = w_lo + config.measured_hours * 3600.0;
 
   BatchingResult result;
-  std::vector<std::pair<double, int>> events;
-  double busy = 0.0;
+  IntervalLoad load(w_lo, w_hi);
 
   // Walk batch boundaries; a stream starts at boundary k*beta iff at least
   // one request arrived during ((k-1)*beta, k*beta].
@@ -56,31 +55,15 @@ BatchingResult run_batching_simulation(const BatchingConfig& config,
       t = arrivals.next();
     }
     if (any) {
-      const double a = std::max(boundary, w_lo);
-      const double b = std::min(boundary + D, w_hi);
-      if (b > a) {
-        busy += b - a;
-        events.push_back({a, +1});
-        events.push_back({b, -1});
-      }
+      load.add(boundary, boundary + D);
       if (boundary >= w_lo) ++result.streams_started;
     }
     // Jump to the first boundary that can contain the pending arrival.
     boundary = std::max(boundary + beta, std::ceil(t / beta) * beta);
   }
 
-  result.avg_streams = busy / (w_hi - w_lo);
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) {
-              return a.first < b.first ||
-                     (a.first == b.first && a.second < b.second);
-            });
-  int active = 0, peak = 0;
-  for (const auto& [time, delta] : events) {
-    active += delta;
-    peak = std::max(peak, active);
-  }
-  result.max_streams = peak;
+  result.avg_streams = load.mean();
+  result.max_streams = load.peak();
   return result;
 }
 

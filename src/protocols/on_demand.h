@@ -5,12 +5,14 @@
 // scheduled transmission of segment S_m at slot t only when at least one
 // active client needs it — i.e. when some request arrived at or after
 // S_m's previous scheduled occurrence, because that client takes the first
-// occurrence after its arrival. This single rule instantiates the family
-// the paper discusses:
+// occurrence after its arrival. This single rule, and this one driver,
+// instantiates the family the paper discusses:
 //
-//   * on-demand FB        = the UD protocol (§2, [17]) — see ud.h for the
-//     closed form this simulator is cross-checked against;
-//   * on-demand NPB       = the dynamic NPB the authors tried first (§3);
+//   * on-demand FB        = the UD protocol (§2, [17]), run over
+//     FbMapping(n); ud.h holds the closed form the tests check it against;
+//   * on-demand NPB       = the dynamic NPB the authors tried first (§3),
+//     run over the NPB mapping; as the paper found, it lags both UD and
+//     stream tapping below ~40-60 requests/hour;
 //   * on-demand SB        = a dynamic-skyscraper (DSB, Eager & Vernon)
 //     stand-in: same mapping, same 2-stream client property, without DSB's
 //     cluster re-phasing (documented simplification — it only makes our

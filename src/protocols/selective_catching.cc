@@ -1,8 +1,6 @@
 #include "protocols/selective_catching.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "sim/random.h"
 #include "sim/stats.h"
@@ -60,34 +58,16 @@ SelectiveCatchingResult run_selective_catching_simulation(
   // The k broadcast channels are always on; catching streams carry, for a
   // client arriving at wall time t, the elapsed part of the current S_1
   // slot: content [0, t mod d), transmitted just-in-time over [t, t + off).
-  std::vector<std::pair<double, int>> events;
-  double busy = 0.0;
+  IntervalLoad catching(w_lo, w_hi);
   double t = arrivals.next();
   while (t < w_hi) {
-    const double offset = std::fmod(t, d);
-    const double a = std::max(t, w_lo);
-    const double b = std::min(t + offset, w_hi);
-    if (b > a) {
-      busy += b - a;
-      events.push_back({a, +1});
-      events.push_back({b, -1});
-    }
+    catching.add(t, t + std::fmod(t, d));
     if (t >= w_lo) ++result.requests;
     t = arrivals.next();
   }
 
-  result.avg_streams = static_cast<double>(k) + busy / (w_hi - w_lo);
-  std::sort(events.begin(), events.end(),
-            [](const auto& x, const auto& y) {
-              return x.first < y.first ||
-                     (x.first == y.first && x.second < y.second);
-            });
-  int active = 0, peak = 0;
-  for (const auto& [time, delta] : events) {
-    active += delta;
-    peak = std::max(peak, active);
-  }
-  result.max_streams = static_cast<double>(k + peak);
+  result.avg_streams = static_cast<double>(k) + catching.mean();
+  result.max_streams = static_cast<double>(k + catching.peak());
   return result;
 }
 

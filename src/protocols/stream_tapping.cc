@@ -7,6 +7,7 @@
 
 #include "obs/qoe.h"
 #include "sim/random.h"
+#include "sim/stats.h"
 #include "util/check.h"
 #include "util/interval_set.h"
 
@@ -106,20 +107,10 @@ TappingResult run_tapping_simulation(const TappingConfig& config,
   double original_start = kNegInf;  // kPatching / kStreamTapping
   std::vector<Level1Patch> level1;  // kStreamTapping only
 
-  std::vector<std::pair<double, int>> events;  // (wall time, +1/-1)
-  double busy_seconds = 0.0;
+  // Content range [lo, hi) carried by a stream admitted at t is active on
+  // the wall interval [t+lo, t+hi).
+  IntervalLoad load(w_lo, w_hi);
   double cost_sum = 0.0;
-
-  // Records the just-in-time activity of content range [lo, hi) carried by
-  // a stream admitted at t: active on the wall interval [t+lo, t+hi).
-  auto emit = [&](double t, double lo, double hi) {
-    const double a = std::max(t + lo, w_lo);
-    const double b = std::min(t + hi, w_hi);
-    if (b <= a) return;
-    busy_seconds += b - a;
-    events.push_back({a, +1});
-    events.push_back({b, -1});
-  };
 
   double t = arrivals.next();
   while (t < w_hi) {
@@ -152,7 +143,7 @@ TappingResult run_tapping_simulation(const TappingConfig& config,
       } else {
         original_start = t;
       }
-      emit(t, 0.0, D);
+      load.add(t, t + D);
       if (t >= w_lo) {
         ++result.originals;
         cost_sum += D;
@@ -166,7 +157,7 @@ TappingResult run_tapping_simulation(const TappingConfig& config,
         level1.push_back(Level1Patch{t, t - original_start});
       }
       for (const Interval& piece : own.intervals()) {
-        emit(t, piece.lo, piece.hi);
+        load.add(t + piece.lo, t + piece.hi);
       }
       if (t >= w_lo) cost_sum += cost;
     }
@@ -183,25 +174,11 @@ TappingResult run_tapping_simulation(const TappingConfig& config,
     t = arrivals.next();
   }
 
-  result.avg_streams = busy_seconds / (w_hi - w_lo);
+  result.avg_streams = load.mean();
   if (result.requests > 0) {
     result.avg_cost_s = cost_sum / static_cast<double>(result.requests);
   }
-
-  // Maximum concurrency: sweep the activity events; close before open at
-  // equal times so touching intervals do not double-count.
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) {
-              return a.first < b.first ||
-                     (a.first == b.first && a.second < b.second);
-            });
-  int active = 0;
-  int peak = 0;
-  for (const auto& [time, delta] : events) {
-    active += delta;
-    peak = std::max(peak, active);
-  }
-  result.max_streams = peak;
+  result.max_streams = load.peak();
   return result;
 }
 

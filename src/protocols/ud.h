@@ -3,36 +3,23 @@
 // broadcasting protocol based on FB in which "segments are transmitted
 // only on demand", saturating to conventional FB at high arrival rates.
 //
-// Concretely: the generalized FB mapping fixes which segment each stream
-// would broadcast in each slot; a transmission is actually performed only
-// if at least one active client needs it. A client arriving during slot a
-// takes, for every segment, the first FB occurrence after a; stream j's
-// occurrence of its segment at slot t is therefore needed iff some request
-// arrived during the preceding rotation period of that stream. This yields
-// the closed form
+// UD is the on-demand variant of the generalized FB mapping, so it runs as
+// run_on_demand_simulation(FbMapping(n), sim) (on_demand.h). A client
+// arriving during slot a takes, for every segment, the first FB occurrence
+// after a; stream j's occurrence of its segment at slot t is therefore
+// needed iff some request arrived during the preceding rotation period of
+// that stream. This yields the closed form
 //
 //     E[bandwidth] = sum_j (1 - exp(-lambda * d * len_j)),
 //
-// which the tests check the simulator against — and which converges to
+// which the tests check the simulation against — and which converges to
 // lambda*D as lambda -> 0 and to FB's k streams as lambda -> infinity,
 // matching both limits the paper quotes for UD.
 #pragma once
 
-#include <cstdint>
-
-#include "core/dhb_simulator.h"
-#include "protocols/fast_broadcasting.h"
 #include "schedule/types.h"
-#include "sim/arrival_process.h"
 
 namespace vod {
-
-// Runs the on-demand FB (UD) simulation under Poisson arrivals.
-SlottedSimResult run_ud_simulation(const SlottedSimConfig& sim);
-
-// Caller-supplied arrivals (tests, time-varying demand).
-SlottedSimResult run_ud_simulation(const SlottedSimConfig& sim,
-                                   ArrivalProcess& arrivals);
 
 // Closed-form expected bandwidth of UD (units of b) at the given rate.
 double ud_expected_bandwidth(const VideoParams& video,

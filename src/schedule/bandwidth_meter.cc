@@ -3,16 +3,15 @@
 namespace vod {
 
 BandwidthMeter::BandwidthMeter(uint64_t warmup_slots, uint64_t batch_slots)
-    : series_(warmup_slots), batches_(batch_slots), warmup_(warmup_slots) {}
+    : warmup_left_(warmup_slots), batches_(batch_slots) {}
 
 void BandwidthMeter::add_slot(int streams) {
-  const double v = static_cast<double>(streams);
-  series_.add(v);
-  if (seen_ < warmup_) {
-    ++seen_;
+  if (warmup_left_ > 0) {
+    --warmup_left_;
     return;
   }
-  ++seen_;
+  const double v = static_cast<double>(streams);
+  stats_.add(v);
   batches_.add(v);
   histogram_.add(v);
 }

@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "sim/batch_means.h"
 #include "sim/stats.h"
-#include "sim/timeseries.h"
 
 namespace vod {
 
@@ -24,11 +23,11 @@ class BandwidthMeter {
 
   void add_slot(int streams);
 
-  uint64_t measured_slots() const { return series_.measured_count(); }
+  uint64_t measured_slots() const { return stats_.count(); }
   // Time-average bandwidth in streams (multiples of b).
-  double mean_streams() const { return series_.mean(); }
+  double mean_streams() const { return stats_.mean(); }
   // Maximum per-slot bandwidth in streams over the measured window.
-  double max_streams() const { return series_.max(); }
+  double max_streams() const { return stats_.max(); }
   // 95% batch-means confidence interval on the mean.
   ConfidenceInterval mean_ci95() const { return batches_.interval95(); }
 
@@ -43,11 +42,9 @@ class BandwidthMeter {
 
   // Per-slot stream distribution over the measured (post-warmup) window,
   // at one-stream resolution up to kHistogramMax (heavier slots clamp into
-  // the top bin). The tail quantiles the mean/CI summary cannot show —
-  // e.g. the p99 provisioning headroom of EXPERIMENTS.md.
-  double p50_streams() const { return histogram_.quantile(0.50); }
-  double p95_streams() const { return histogram_.quantile(0.95); }
-  double p99_streams() const { return histogram_.quantile(0.99); }
+  // the top bin): bin k holds the slots that carried k streams. The tail
+  // quantiles the mean/CI summary cannot show — e.g. the p99 provisioning
+  // headroom of EXPERIMENTS.md.
   const Histogram& stream_histogram() const { return histogram_; }
 
   // Snapshots the meter into `out` as the bandwidth_streams histogram plus
@@ -58,11 +55,10 @@ class BandwidthMeter {
   static constexpr double kHistogramMax = 512.0;
 
  private:
-  SlotSeries series_;
+  uint64_t warmup_left_;  // leading slots still to discard
+  RunningStats stats_;
   BatchMeans batches_;
   Histogram histogram_{0.0, kHistogramMax, static_cast<size_t>(kHistogramMax)};
-  uint64_t warmup_;
-  uint64_t seen_ = 0;
 };
 
 }  // namespace vod

@@ -44,25 +44,24 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void TimeWeightedStats::set(double t, double v) {
-  VOD_CHECK_MSG(t >= last_t_, "time must be non-decreasing");
-  if (has_value_) weighted_sum_ += value_ * (t - last_t_);
-  value_ = v;
-  has_value_ = true;
-  max_ = std::max(max_, v);
-  last_t_ = t;
+void IntervalLoad::add(double start, double end) {
+  const double a = std::max(start, lo_);
+  const double b = std::min(end, hi_);
+  if (b <= a) return;
+  busy_ += b - a;
+  events_.push_back({a, +1});
+  events_.push_back({b, -1});
 }
 
-TimeWeightedStats& TimeWeightedStats::finish(double t_end) {
-  VOD_CHECK(t_end >= last_t_);
-  if (has_value_) weighted_sum_ += value_ * (t_end - last_t_);
-  last_t_ = t_end;
-  return *this;
-}
-
-double TimeWeightedStats::mean() const {
-  const double span = last_t_ - start_;
-  return span > 0.0 ? weighted_sum_ / span : 0.0;
+int IntervalLoad::peak() {
+  std::sort(events_.begin(), events_.end());
+  int active = 0;
+  int most = 0;
+  for (const auto& [time, delta] : events_) {
+    active += delta;
+    most = std::max(most, active);
+  }
+  return most;
 }
 
 Histogram::Histogram(double lo, double hi, size_t bins)

@@ -1,14 +1,15 @@
 // Streaming statistics accumulators.
 //
 // Welford's algorithm for numerically stable mean/variance, plus min/max,
-// a fixed-bin histogram, and a time-weighted accumulator for piecewise-
-// constant signals (the instantaneous server bandwidth of the reactive
-// protocols is exactly such a signal).
+// a fixed-bin histogram, and the interval load that measures the reactive
+// protocols: their server bandwidth is a set of [start, end) streams, each
+// one unit of b.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace vod {
@@ -38,30 +39,27 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Time-weighted average of a piecewise-constant signal. Call set(t, v) at
-// every change point; finish(t_end) closes the last segment.
-class TimeWeightedStats {
+// Load of a set of [start, end) intervals over the window [lo, hi): each
+// open interval counts one. add() clips an interval to the window; mean()
+// is the time-average load and peak() the most intervals open at once.
+class IntervalLoad {
  public:
-  explicit TimeWeightedStats(double t0 = 0.0) : last_t_(t0), start_(t0) {}
+  IntervalLoad(double lo, double hi) : lo_(lo), hi_(hi) {}
 
-  // Records that the signal takes value v from time t onward. t must be
-  // non-decreasing.
-  void set(double t, double v);
+  void add(double start, double end);
 
-  // Closes the final segment at t_end and returns *this for chaining.
-  TimeWeightedStats& finish(double t_end);
+  // Busy time over the window length; 0 for an empty window.
+  double mean() const { return hi_ > lo_ ? busy_ / (hi_ - lo_) : 0.0; }
 
-  double mean() const;
-  double max() const { return has_value_ ? max_ : 0.0; }
-  double elapsed() const { return last_t_ - start_; }
+  // Sweeps the recorded intervals in time order (sorting them in place). An
+  // interval closes before another opens at the same time, so touching
+  // intervals never overlap.
+  int peak();
 
  private:
-  double last_t_;
-  double start_;
-  double value_ = 0.0;
-  bool has_value_ = false;
-  double weighted_sum_ = 0.0;
-  double max_ = -std::numeric_limits<double>::infinity();
+  double lo_, hi_;
+  double busy_ = 0.0;
+  std::vector<std::pair<double, int>> events_;  // (time, +1 open / -1 close)
 };
 
 // Fixed-width histogram over [lo, hi); out-of-range samples clamp into the

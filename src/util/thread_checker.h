@@ -1,8 +1,8 @@
 // Debug-build checker for the library's single-writer discipline.
 //
 // Most mutable state here is *not* locked — it is owned: a DhbScheduler, a
-// VodServer, an EventQueue, or one shard of the multi-video engine is
-// mutated by exactly one thread at a time (DESIGN.md §8/§11). Clang's
+// VodServer, or one shard of the multi-video engine is mutated by exactly
+// one thread at a time (DESIGN.md §8/§11). Clang's
 // thread-safety analysis cannot express "externally serialized", so this
 // header supplies the runtime half of the contract: a ThreadChecker binds
 // to the first thread that exercises the owning object and

@@ -60,6 +60,10 @@ TEST(Batching, NoArrivalsNoStreams) {
   const BatchingResult r = run_batching_simulation(c, arrivals);
   EXPECT_EQ(r.streams_started, 0u);
   EXPECT_DOUBLE_EQ(r.avg_streams, 0.0);
+  // A zero-length window measures no bandwidth: 0, not 0/0.
+  c.measured_hours = 0.0;
+  ScriptedArrivals none({});
+  EXPECT_DOUBLE_EQ(run_batching_simulation(c, none).avg_streams, 0.0);
 }
 
 TEST(Batching, SaturatesAtDOverBeta) {

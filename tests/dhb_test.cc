@@ -207,6 +207,9 @@ TEST(Dhb, CapViolationsReportedWhenImpossible) {
   const DhbRequestResult r = s.on_request();
   EXPECT_GT(r.cap_violations, 0);
   EXPECT_TRUE(verify_plan(r.plan, c.periods).deadlines_met);
+  // The exported counter carries the same count.
+  EXPECT_EQ(s.metrics().counter_value("dhb_cap_violation_slots_total"),
+            static_cast<uint64_t>(r.cap_violations));
 }
 
 TEST(Dhb, CapUnconstrainedWithIdentityPeriods) {

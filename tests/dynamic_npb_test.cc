@@ -1,8 +1,8 @@
-#include "protocols/dynamic_npb.h"
-
 #include <gtest/gtest.h>
 
-#include "protocols/ud.h"
+#include "protocols/fast_broadcasting.h"
+#include "protocols/npb.h"
+#include "protocols/on_demand.h"
 
 namespace vod {
 namespace {
@@ -23,7 +23,7 @@ const NpbMapping& paper_mapping() {
 TEST(DynamicNpb, NeverExceedsNpbStreams) {
   for (double rate : {1.0, 30.0, 1000.0}) {
     const SlottedSimResult r =
-        run_dynamic_npb_simulation(paper_mapping(), quick_sim(rate));
+        run_on_demand_simulation(paper_mapping(), quick_sim(rate));
     EXPECT_LE(r.max_streams, 6.0) << rate;
     EXPECT_LE(r.avg_streams, 6.0) << rate;
   }
@@ -31,7 +31,7 @@ TEST(DynamicNpb, NeverExceedsNpbStreams) {
 
 TEST(DynamicNpb, SaturatesToFullMapping) {
   const SlottedSimResult r =
-      run_dynamic_npb_simulation(paper_mapping(), quick_sim(3000.0));
+      run_on_demand_simulation(paper_mapping(), quick_sim(3000.0));
   // At saturation every scheduled transmission is needed. The packer may
   // leave a few idle cells, so the average sits just below 6.
   EXPECT_GT(r.avg_streams, 5.0);
@@ -42,7 +42,7 @@ TEST(DynamicNpb, LowRateCostsAboutLambdaD) {
   SlottedSimConfig sim = quick_sim(0.2);
   sim.measured_hours = 300.0;
   const SlottedSimResult r =
-      run_dynamic_npb_simulation(paper_mapping(), sim);
+      run_on_demand_simulation(paper_mapping(), sim);
   EXPECT_NEAR(r.avg_streams, 0.4, 0.12);
 }
 
@@ -52,7 +52,7 @@ TEST(DynamicNpb, NoArrivalsNoBandwidth) {
   sim.measured_hours = 1.0;
   ScriptedArrivals arrivals({});
   const SlottedSimResult r =
-      run_dynamic_npb_simulation(paper_mapping(), sim, arrivals);
+      run_on_demand_simulation(paper_mapping(), sim, arrivals);
   EXPECT_DOUBLE_EQ(r.avg_streams, 0.0);
 }
 
@@ -63,7 +63,7 @@ TEST(DynamicNpb, SingleRequestCostsOneVideo) {
   sim.measured_hours = 5.0;
   ScriptedArrivals arrivals({10.0});
   const SlottedSimResult r =
-      run_dynamic_npb_simulation(paper_mapping(), sim, arrivals);
+      run_on_demand_simulation(paper_mapping(), sim, arrivals);
   const double d = sim.video.slot_duration_s();
   const double busy_slots = r.avg_streams * sim.measured_hours * 3600.0 / d;
   EXPECT_NEAR(busy_slots, 99.0, 1.5);
@@ -74,16 +74,17 @@ TEST(DynamicNpb, BeatsUdAtHighRates) {
   // high access rates because its bandwidth requirements never exceeded
   // those of NPB" (UD saturates at FB's 7 streams, dNPB at 6).
   const SlottedSimResult dnpb =
-      run_dynamic_npb_simulation(paper_mapping(), quick_sim(500.0));
-  const SlottedSimResult ud = run_ud_simulation(quick_sim(500.0));
+      run_on_demand_simulation(paper_mapping(), quick_sim(500.0));
+  const SlottedSimResult ud =
+      run_on_demand_simulation(FbMapping(99), quick_sim(500.0));
   EXPECT_LT(dnpb.avg_streams, ud.avg_streams);
 }
 
 TEST(DynamicNpb, DeterministicForSeed) {
   const SlottedSimResult a =
-      run_dynamic_npb_simulation(paper_mapping(), quick_sim(10.0));
+      run_on_demand_simulation(paper_mapping(), quick_sim(10.0));
   const SlottedSimResult b =
-      run_dynamic_npb_simulation(paper_mapping(), quick_sim(10.0));
+      run_on_demand_simulation(paper_mapping(), quick_sim(10.0));
   EXPECT_DOUBLE_EQ(a.avg_streams, b.avg_streams);
 }
 

@@ -192,23 +192,23 @@ void run_mode_diff(const FuzzConfig& fc, uint64_t* checked) {
   // readers of the same flat slabs.
   const auto probe_slabs = [&](const DhbScheduler& d) {
     const SlotSchedule& sched = d.schedule();
-    const Slot base = sched.now();
+    const Slot now = sched.now();
     const auto w = static_cast<uint64_t>(sched.window());
     for (int probe = 0; probe < 3; ++probe) {
-      const Slot lo = base + 1 + static_cast<Slot>(probe_rng.uniform_index(w));
+      const Slot lo = now + 1 + static_cast<Slot>(probe_rng.uniform_index(w));
       const Slot hi = lo + static_cast<Slot>(probe_rng.uniform_index(
-                               static_cast<uint64_t>(base + sched.window() -
+                               static_cast<uint64_t>(now + sched.window() -
                                                      lo + 1)));
       const SlotSchedule::MinLoad want_l = sched.min_load_latest(lo, hi);
       const SlotSchedule::MinLoad got_l = sched.scan_min_load_latest(lo, hi);
       ASSERT_EQ(got_l.slot, want_l.slot)
-          << "scan/index divergence (latest) at slot " << base << " ["
+          << "scan/index divergence (latest) at slot " << now << " ["
           << lo << "," << hi << "] seed " << fc.seed;
       ASSERT_EQ(got_l.load, want_l.load);
       const SlotSchedule::MinLoad want_e = sched.min_load_earliest(lo, hi);
       const SlotSchedule::MinLoad got_e = sched.scan_min_load_earliest(lo, hi);
       ASSERT_EQ(got_e.slot, want_e.slot)
-          << "scan/index divergence (earliest) at slot " << base << " ["
+          << "scan/index divergence (earliest) at slot " << now << " ["
           << lo << "," << hi << "] seed " << fc.seed;
       ASSERT_EQ(got_e.load, want_e.load);
     }

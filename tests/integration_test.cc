@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "core/dhb_simulator.h"
-#include "protocols/dynamic_npb.h"
+#include "protocols/fast_broadcasting.h"
 #include "protocols/harmonic.h"
 #include "protocols/npb.h"
+#include "protocols/on_demand.h"
 #include "protocols/patching.h"
 #include "protocols/stream_tapping.h"
-#include "protocols/ud.h"
 #include "vbr/synthetic.h"
 #include "vbr/variants.h"
 
@@ -64,7 +64,8 @@ TEST(Figure7Shape, DhbAlwaysBelowNpb) {
 TEST(Figure7Shape, DhbBelowUdEverywhere) {
   for (double rate : {2.0, 20.0, 200.0}) {
     const SlottedSimResult dhb = run_dhb_simulation(DhbConfig{}, slotted(rate));
-    const SlottedSimResult ud = run_ud_simulation(slotted(rate));
+    const SlottedSimResult ud =
+        run_on_demand_simulation(FbMapping(99), slotted(rate));
     EXPECT_LT(dhb.avg_streams, ud.avg_streams) << rate << "/h";
   }
 }
@@ -72,7 +73,8 @@ TEST(Figure7Shape, DhbBelowUdEverywhere) {
 TEST(Figure7Shape, UdSaturatesAboveNpbLevel) {
   // UD reverts to FB (7 streams) while NPB needs only 6: at high rates the
   // UD curve crosses above the NPB line, as Figure 7 shows.
-  const SlottedSimResult ud = run_ud_simulation(slotted(1000.0));
+  const SlottedSimResult ud =
+      run_on_demand_simulation(FbMapping(99), slotted(1000.0));
   EXPECT_GT(ud.avg_streams, 6.0);
 }
 
@@ -83,7 +85,7 @@ TEST(Figure7Shape, AllProtocolsConvergeAtVeryLowRates) {
   SlottedSimConfig sim = slotted(rate);
   sim.measured_hours = 400.0;
   const SlottedSimResult dhb = run_dhb_simulation(DhbConfig{}, sim);
-  const SlottedSimResult ud = run_ud_simulation(sim);
+  const SlottedSimResult ud = run_on_demand_simulation(FbMapping(99), sim);
   EXPECT_NEAR(dhb.avg_streams, lambda_d, 0.25 * lambda_d);
   EXPECT_NEAR(ud.avg_streams, lambda_d, 0.25 * lambda_d);
 }
@@ -93,7 +95,8 @@ TEST(Figure7Shape, AllProtocolsConvergeAtVeryLowRates) {
 TEST(Figure8Shape, MaximumBandwidthOrdering) {
   for (double rate : {100.0, 1000.0}) {
     const SlottedSimResult dhb = run_dhb_simulation(DhbConfig{}, slotted(rate));
-    const SlottedSimResult ud = run_ud_simulation(slotted(rate));
+    const SlottedSimResult ud =
+        run_on_demand_simulation(FbMapping(99), slotted(rate));
     EXPECT_GE(dhb.max_streams, 6.0) << rate;          // above NPB's constant
     EXPECT_LE(dhb.max_streams, 6.0 + 2.0) << rate;    // "never exceeds twice"
     EXPECT_LE(ud.max_streams, 7.0) << rate;           // FB ceiling
@@ -106,12 +109,13 @@ TEST(Figure8Shape, MaximumBandwidthOrdering) {
 TEST(DynamicNpbShape, MatchesSection3Narrative) {
   const NpbMapping mapping = *NpbMapping::build(6, 99);
   const SlottedSimResult dnpb_hi =
-      run_dynamic_npb_simulation(mapping, slotted(500.0));
-  const SlottedSimResult ud_hi = run_ud_simulation(slotted(500.0));
+      run_on_demand_simulation(mapping, slotted(500.0));
+  const SlottedSimResult ud_hi =
+      run_on_demand_simulation(FbMapping(99), slotted(500.0));
   EXPECT_LT(dnpb_hi.avg_streams, ud_hi.avg_streams);
 
   const SlottedSimResult dnpb_lo =
-      run_dynamic_npb_simulation(mapping, slotted(20.0));
+      run_on_demand_simulation(mapping, slotted(20.0));
   const SlottedSimResult dhb_lo =
       run_dhb_simulation(DhbConfig{}, slotted(20.0));
   EXPECT_GT(dnpb_lo.avg_streams, dhb_lo.avg_streams);
@@ -153,7 +157,7 @@ TEST(Figure9Shape, VariantOrderingOnVbrVideo) {
   ud_sim.requests_per_hour = rate;
   ud_sim.warmup_hours = 4.0;
   ud_sim.measured_hours = 80.0;
-  const SlottedSimResult ud = run_ud_simulation(ud_sim);
+  const SlottedSimResult ud = run_on_demand_simulation(FbMapping(137), ud_sim);
   const double mbs_ud = ud.avg_streams * va.peak_rate_kbs / 1000.0;
   EXPECT_GT(mbs_ud, mbs_a);
 }

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "protocols/fast_broadcasting.h"
 #include "protocols/npb.h"
 #include "protocols/skyscraper.h"
 #include "protocols/ud.h"
+#include "schedule/bandwidth_meter.h"
+#include "schedule/slot_math.h"
+#include "sim/random.h"
 
 namespace vod {
 namespace {
@@ -40,16 +46,66 @@ INSTANTIATE_TEST_SUITE_P(Rates, OnDemandFbTest,
                                   std::to_string(static_cast<int>(param_info.param));
                          });
 
+// UD's own formulation (Pâris, Carter & Long): FB stream k transmits in
+// slot t iff a request arrived within its last rotation_length(k) slots.
+// The test oracle the generic prev-occurrence driver must match exactly
+// over FbMapping; same slot clock, arrivals and meter as that driver.
+SlottedSimResult ud_rotation_rule(const SlottedSimConfig& sim,
+                                  ArrivalProcess& arrivals) {
+  const FbMapping fb(sim.video.num_segments);
+  const double d = sim.video.slot_duration_s();
+  const uint64_t warmup_slots = horizon_slots(sim.warmup_hours, d);
+  const uint64_t total_slots =
+      warmup_slots + horizon_slots(sim.measured_hours, d);
+  BandwidthMeter meter(
+      warmup_slots, std::max<uint64_t>(1, (total_slots - warmup_slots) / 32));
+  SlottedSimResult result;
+  Slot last_arrival = std::numeric_limits<Slot>::min() / 2;
+  double next_arrival = arrivals.next();
+  for (uint64_t step = 1; step <= total_slots; ++step) {
+    const Slot t = static_cast<Slot>(step);
+    int busy = 0;
+    for (int k = 0; k < fb.streams(); ++k) {
+      if (last_arrival >= t - static_cast<Slot>(fb.rotation_length(k))) {
+        ++busy;
+      }
+    }
+    meter.add_slot(busy);
+    const double slot_end = static_cast<double>(t) * d;
+    while (next_arrival < slot_end) {
+      last_arrival = t;
+      if (step > warmup_slots) ++result.requests;
+      next_arrival = arrivals.next();
+    }
+  }
+  result.avg_streams = meter.mean_streams();
+  result.max_streams = meter.max_streams();
+  result.avg_ci = meter.mean_ci95();
+  return result;
+}
+
 TEST(OnDemand, FbMatchesDedicatedUdSimulator) {
-  // Same model, two implementations: the generic prev-occurrence rule and
-  // ud.cc's rotation rule must produce statistically identical output.
-  const SlottedSimConfig sim = quick_sim(30.0);
-  const FbMapping fb(99);
-  const SlottedSimResult generic = run_on_demand_simulation(fb, sim);
-  const SlottedSimResult dedicated = run_ud_simulation(sim);
-  EXPECT_NEAR(generic.avg_streams, dedicated.avg_streams,
-              0.03 * dedicated.avg_streams);
-  EXPECT_DOUBLE_EQ(generic.max_streams, dedicated.max_streams);
+  for (int n : {1, 7, 15, 27, 99, 137}) {
+    for (double rate : {0.0, 0.5, 5.0, 30.0, 300.0, 3000.0}) {
+      for (double warmup : {0.0, 4.0}) {
+        SlottedSimConfig sim = quick_sim(rate, n);
+        sim.warmup_hours = warmup;
+        sim.measured_hours = 40.0;
+        PoissonProcess arrivals(per_hour(rate), Rng(sim.seed));
+        const SlottedSimResult generic =
+            run_on_demand_simulation(FbMapping(n), sim);
+        const SlottedSimResult oracle = ud_rotation_rule(sim, arrivals);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " rate=" << rate
+                                        << " warmup=" << warmup);
+        EXPECT_EQ(generic.avg_streams, oracle.avg_streams);
+        EXPECT_EQ(generic.max_streams, oracle.max_streams);
+        EXPECT_EQ(generic.avg_ci.mean, oracle.avg_ci.mean);
+        EXPECT_EQ(generic.avg_ci.half_width, oracle.avg_ci.half_width);
+        EXPECT_EQ(generic.avg_ci.batches, oracle.avg_ci.batches);
+        EXPECT_EQ(generic.requests, oracle.requests);
+      }
+    }
+  }
 }
 
 TEST(OnDemand, NeverExceedsMappingStreams) {

@@ -4,7 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/dhb_simulator.h"
-#include "protocols/ud.h"
+#include "protocols/fast_broadcasting.h"
+#include "protocols/on_demand.h"
 #include "sim/stats.h"
 
 namespace vod {
@@ -23,7 +24,8 @@ TEST(Replication, DhbBelowUdForEverySeed) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const SlottedSimResult dhb =
         run_dhb_simulation(DhbConfig{}, sim_for(20.0, seed));
-    const SlottedSimResult ud = run_ud_simulation(sim_for(20.0, seed));
+    const SlottedSimResult ud =
+        run_on_demand_simulation(FbMapping(99), sim_for(20.0, seed));
     EXPECT_LT(dhb.avg_streams, ud.avg_streams) << "seed " << seed;
   }
 }

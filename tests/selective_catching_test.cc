@@ -78,6 +78,11 @@ TEST(SelectiveCatching, BroadcastFloorEvenWhenIdle) {
       run_selective_catching_simulation(c, arrivals);
   EXPECT_DOUBLE_EQ(r.avg_streams, 5.0);
   EXPECT_EQ(r.requests, 0u);
+  // A zero-length window still reads the always-on channels, not 0/0.
+  c.measured_hours = 0.0;
+  ScriptedArrivals none({});
+  EXPECT_DOUBLE_EQ(run_selective_catching_simulation(c, none).avg_streams,
+                   5.0);
 }
 
 TEST(SelectiveCatching, CatchStreamBoundedBySlot) {

@@ -140,42 +140,33 @@ TEST(RunningStats, AddN) {
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
 }
 
-TEST(TimeWeightedStats, PiecewiseConstantAverage) {
-  TimeWeightedStats s(0.0);
-  s.set(0.0, 1.0);   // 1 for [0, 2)
-  s.set(2.0, 3.0);   // 3 for [2, 3)
-  s.finish(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), (1.0 * 2.0 + 3.0 * 1.0) / 3.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_DOUBLE_EQ(s.elapsed(), 3.0);
+TEST(IntervalLoad, ClipsAtBothWindowEdges) {
+  IntervalLoad load(10.0, 20.0);
+  load.add(5.0, 12.0);   // counts [10, 12)
+  load.add(11.0, 30.0);  // counts [11, 20)
+  load.add(0.0, 10.0);   // ends where the window starts
+  load.add(20.0, 25.0);  // starts where the window ends
+  EXPECT_DOUBLE_EQ(load.mean(), (2.0 + 9.0) / 10.0);
+  EXPECT_EQ(load.peak(), 2);  // both open over [11, 12)
 }
 
-TEST(TimeWeightedStats, ValueBeforeFirstSetIgnored) {
-  TimeWeightedStats s(0.0);
-  s.set(5.0, 2.0);
-  s.finish(10.0);
-  // Signal defined only on [5, 10); its weighted sum is 10, span is 10.
-  EXPECT_DOUBLE_EQ(s.mean(), 1.0);
+TEST(IntervalLoad, TouchingIntervalsDoNotOverlap) {
+  IntervalLoad load(0.0, 10.0);
+  load.add(4.0, 8.0);
+  load.add(0.0, 4.0);
+  load.add(8.0, 10.0);
+  EXPECT_DOUBLE_EQ(load.mean(), 1.0);
+  EXPECT_EQ(load.peak(), 1);
 }
 
-TEST(TimeWeightedStats, ZeroSpan) {
-  TimeWeightedStats s(1.0);
-  s.finish(1.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(TimeWeightedStats, NonMonotoneSetFiresCheck) {
-  ScopedThrowingHandler scoped;
-  TimeWeightedStats s(0.0);
-  s.set(5.0, 1.0);
-  EXPECT_THROW(s.set(4.0, 2.0), std::runtime_error);
-  EXPECT_THROW(s.finish(1.0), std::runtime_error);
-  // Equal timestamps are legal (a zero-length segment), and the
-  // accumulator still works after the rejected updates.
-  s.set(5.0, 3.0);
-  s.finish(10.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 1.5);  // 3.0 over [5, 10) of a 10-long span
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
+TEST(IntervalLoad, EmptyWindowReadsZero) {
+  IntervalLoad idle(0.0, 10.0);
+  EXPECT_DOUBLE_EQ(idle.mean(), 0.0);
+  EXPECT_EQ(idle.peak(), 0);
+  IntervalLoad empty(5.0, 5.0);
+  empty.add(0.0, 10.0);
+  EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
+  EXPECT_EQ(empty.peak(), 0);
 }
 
 TEST(Histogram, CountsIntoBins) {

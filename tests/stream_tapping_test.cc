@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "protocols/harmonic.h"
+#include "protocols/patching.h"
 
 namespace vod {
 namespace {
@@ -226,6 +227,23 @@ TEST(StreamTapping, TouchingStreamsDoNotDoubleCountPeak) {
   ScriptedArrivals arrivals({100.0, 400.0, 700.0});
   const TappingResult r = run_tapping_simulation(c, arrivals);
   EXPECT_DOUBLE_EQ(r.max_streams, 2.0);
+}
+
+TEST(StreamTapping, ZeroLengthWindowReadsZero) {
+  // Streams admitted during warmup run past the window start, but a
+  // zero-length window clips them all away: 0 streams, not 0/0.
+  for (TappingMode mode : {TappingMode::kPatching, TappingMode::kStreamTapping,
+                           TappingMode::kIdealMerging}) {
+    TappingConfig c = quick(10.0, mode);
+    c.restart_threshold_s = 1800.0;
+    c.measured_hours = 0.0;
+    const TappingResult r = run_tapping_simulation(c);
+    EXPECT_DOUBLE_EQ(r.avg_streams, 0.0) << static_cast<int>(mode);
+    EXPECT_DOUBLE_EQ(r.max_streams, 0.0) << static_cast<int>(mode);
+  }
+  TappingConfig c = quick(10.0, TappingMode::kPatching);
+  c.measured_hours = 0.0;
+  EXPECT_DOUBLE_EQ(run_patching_simulation(c).avg_streams, 0.0);
 }
 
 TEST(StreamTapping, MaxAtLeastAverage) {

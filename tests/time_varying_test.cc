@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "core/dhb_simulator.h"
+#include "protocols/fast_broadcasting.h"
 #include "protocols/npb.h"
 #include "protocols/on_demand.h"
-#include "protocols/ud.h"
 #include "sim/arrival_process.h"
 
 namespace vod {
@@ -41,7 +41,8 @@ TEST(TimeVarying, DhbBeatsUdOnTheSameDay) {
   const SlottedSimResult dhb = run_dhb_simulation(DhbConfig{}, day_sim(), a1);
   NonHomogeneousPoissonProcess a2(daily_demand_curve(2.0, 150.0),
                                   per_hour(150.0), Rng(5));
-  const SlottedSimResult ud = run_ud_simulation(day_sim(), a2);
+  const SlottedSimResult ud =
+      run_on_demand_simulation(FbMapping(99), day_sim(), a2);
   EXPECT_LT(dhb.avg_streams, ud.avg_streams);
 }
 

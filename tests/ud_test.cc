@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "protocols/fast_broadcasting.h"
+#include "protocols/on_demand.h"
+
 namespace vod {
 namespace {
 
@@ -23,7 +26,7 @@ TEST_P(UdClosedFormTest, SimulationMatchesExpectation) {
   const double rate = GetParam();
   SlottedSimConfig sim = quick_sim(rate);
   sim.measured_hours = rate < 5.0 ? 400.0 : 150.0;
-  const SlottedSimResult r = run_ud_simulation(sim);
+  const SlottedSimResult r = run_on_demand_simulation(FbMapping(99), sim);
   const double expected = ud_expected_bandwidth(sim.video, rate);
   EXPECT_NEAR(r.avg_streams, expected, std::max(0.1, 0.05 * expected))
       << rate << "/h";
@@ -39,7 +42,8 @@ INSTANTIATE_TEST_SUITE_P(Rates, UdClosedFormTest,
 TEST(Ud, SaturatesToFbStreamCount) {
   // "Above 200 requests per hour, all channels become saturated and the UD
   // reverts to a conventional FB protocol."
-  const SlottedSimResult r = run_ud_simulation(quick_sim(2000.0));
+  const SlottedSimResult r =
+      run_on_demand_simulation(FbMapping(99), quick_sim(2000.0));
   EXPECT_NEAR(r.avg_streams, 7.0, 0.05);
   EXPECT_DOUBLE_EQ(r.max_streams, 7.0);
 }
@@ -67,7 +71,8 @@ TEST(Ud, ClosedFormMonotone) {
 
 TEST(Ud, MaxBandwidthNeverExceedsFb) {
   for (double rate : {1.0, 50.0, 800.0}) {
-    const SlottedSimResult r = run_ud_simulation(quick_sim(rate));
+    const SlottedSimResult r =
+        run_on_demand_simulation(FbMapping(99), quick_sim(rate));
     EXPECT_LE(r.max_streams, 7.0) << rate;
   }
 }
@@ -77,7 +82,8 @@ TEST(Ud, NoArrivalsNoBandwidth) {
   sim.warmup_hours = 0.0;
   sim.measured_hours = 1.0;
   ScriptedArrivals arrivals({});
-  const SlottedSimResult r = run_ud_simulation(sim, arrivals);
+  const SlottedSimResult r =
+      run_on_demand_simulation(FbMapping(99), sim, arrivals);
   EXPECT_DOUBLE_EQ(r.avg_streams, 0.0);
 }
 
@@ -88,15 +94,18 @@ TEST(Ud, SingleRequestCostsOneVideo) {
   sim.warmup_hours = 0.0;
   sim.measured_hours = 5.0;
   ScriptedArrivals arrivals({10.0});
-  const SlottedSimResult r = run_ud_simulation(sim, arrivals);
+  const SlottedSimResult r =
+      run_on_demand_simulation(FbMapping(99), sim, arrivals);
   const double d = sim.video.slot_duration_s();
   const double busy_slots = r.avg_streams * sim.measured_hours * 3600.0 / d;
   EXPECT_NEAR(busy_slots, 99.0, 1.5);
 }
 
 TEST(Ud, DeterministicForSeed) {
-  const SlottedSimResult a = run_ud_simulation(quick_sim(10.0));
-  const SlottedSimResult b = run_ud_simulation(quick_sim(10.0));
+  const SlottedSimResult a =
+      run_on_demand_simulation(FbMapping(99), quick_sim(10.0));
+  const SlottedSimResult b =
+      run_on_demand_simulation(FbMapping(99), quick_sim(10.0));
   EXPECT_DOUBLE_EQ(a.avg_streams, b.avg_streams);
 }
 
