@@ -133,11 +133,6 @@ class BenchObservability {
     return ok;
   }
 
-  obs::MetricShard& metrics() { return metrics_; }
-  obs::TraceBuffer& trace() { return trace_; }
-  obs::QoeShard& qoe() { return qoe_; }
-  obs::FlightRecorder& flight() { return flight_; }
-
  private:
   obs::MetricShard metrics_;
   obs::TraceBuffer trace_;

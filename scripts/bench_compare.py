@@ -113,9 +113,10 @@ KNOWN = ("admission_throughput", "observability_overhead",
          "adaptive_switching", "multi_video_scale")
 
 # Ceiling on trace events per slot of the identity run. The instrumented
-# paths emit a constant handful per slot/batch (streams counter, one
-# admission outcome, one coalescing record); anything near the arrival
-# rate means a macro landed in the per-request inner loop.
+# paths emit a constant handful per slot/batch (one admission outcome, one
+# coalescing record, and a streams counter where one loop steps a single
+# scheduler); anything near the arrival rate means a macro landed in the
+# per-request inner loop.
 MAX_EVENTS_PER_SLOT = 8.0
 
 # Best-of merge across alternating invocations; overheads are recomputed

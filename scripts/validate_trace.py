@@ -10,7 +10,9 @@ fixtures. Dispatch is by extension:
   the top-level envelope, the process-name metadata for the two clock
   domains (pid 1 slot time, pid 2 wall clock), and every event's phase,
   timestamps, and args. Slot-domain timestamps must be whole slots
-  (integer microseconds, 1 slot = 1000 us).
+  (integer microseconds, 1 slot = 1000 us). Chrome keys a counter track
+  by (pid, name), so two samples of one counter at the same (pid, name,
+  ts) would overwrite each other on one track: rejected.
 * .prom  — Prometheus text exposition. Checks name charset, that every
   sample belongs to a preceding # TYPE family, and histogram coherence:
   increasing le edges, non-decreasing cumulative buckets, a final +Inf
@@ -58,6 +60,7 @@ def validate_chrome_trace(path):
 
     named_pids = {}
     counts = {"X": 0, "i": 0, "C": 0, "M": 0}
+    counter_samples = set()  # (pid, name, ts)
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(e, dict):
@@ -96,6 +99,12 @@ def validate_chrome_trace(path):
             args = e.get("args")
             if not isinstance(args, dict) or not args:
                 fail(path, f"{where}: counter event without args")
+            key = (e["pid"], e["name"], ts)
+            if key in counter_samples:
+                fail(path, f"{where}: second sample of counter "
+                           f"{e['name']!r} at pid {e['pid']} ts {ts}; one "
+                           "Chrome counter track cannot hold both")
+            counter_samples.add(key)
         for k, v in e.get("args", {}).items():
             if not isinstance(k, str) or not isinstance(v, (int, float)):
                 fail(path, f"{where}: non-numeric arg {k!r}")

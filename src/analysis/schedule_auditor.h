@@ -196,7 +196,7 @@ class ScheduleAuditor {
 // The cheap per-slot debug hook: deep-audits `scheduler` (structural
 // invariants only — no plan tracking) and aborts through VOD_CHECK with the
 // report text on the first violation. Compiled in always; called on every
-// advance_slot_view() when the library is built with VOD_AUDIT.
+// advance_slot_view() (inline in core/dhb.h) in code built with VOD_AUDIT.
 void audit_or_die(const DhbScheduler& scheduler);
 
 }  // namespace vod

@@ -9,14 +9,6 @@
 
 namespace vod {
 
-#ifdef VOD_AUDIT
-// Implemented in analysis/schedule_auditor.cc. Declared here instead of
-// including the header: analysis sits above every engine layer and nothing
-// below it may depend on it (scripts/lint_layering.py), so audit builds
-// reach the auditor through this forward declaration — a link-time hook,
-// not an include edge.
-void audit_or_die(const DhbScheduler& scheduler);
-#endif
 namespace {
 
 // Work-unit prices (total_work_units()). A sharing check costs one unit in
@@ -95,17 +87,7 @@ DhbScheduler::DhbScheduler(const DhbConfig& config)
                                      return acc + static_cast<uint64_t>(t);
                                    })),
       schedule_(config.num_segments, window_),
-      rng_(config.heuristic_seed),
-      c_requests_(metrics_.counter("dhb_requests_total")),
-      c_new_(metrics_.counter("dhb_new_instances_total")),
-      c_shared_(metrics_.counter("dhb_shared_instances_total")),
-      c_probes_(metrics_.counter("dhb_slot_probes_total")),
-      c_rejected_(metrics_.counter("dhb_rejected_admissions_total")),
-      c_work_(metrics_.counter("dhb_work_units_total")),
-      c_coalesced_(metrics_.counter("dhb_coalesced_requests_total")),
-      c_adm_placed_(metrics_.counter("dhb_admissions_placed_total")),
-      c_adm_all_shared_(metrics_.counter("dhb_admissions_all_shared_total")),
-      c_cap_violations_(metrics_.counter("dhb_cap_violation_slots_total")) {
+      rng_(config.heuristic_seed) {
   VOD_CHECK(config.client_stream_cap >= 0);
   // Pre-size the reusable plan storage: steady-state admissions then run
   // allocation-free (tests/alloc_audit_test.cc pins this down).
@@ -114,31 +96,32 @@ DhbScheduler::DhbScheduler(const DhbConfig& config)
   memo_result_.plan.reception_slot.reserve(n);
 }
 
-const obs::MetricShard& DhbScheduler::metrics() const {
-  // The schedule_* counters mirror monotone op meters kept by the
-  // SlotSchedule / LoadIndex fast path; sample them up to the current value
-  // on access (counters only support inc, and the meters never decrease).
-  const auto sample = [this](const char* name, uint64_t now_value) {
-    obs::Counter* c = metrics_.counter(name);
-    c->inc(now_value - c->value());
+void DhbScheduler::export_metrics(obs::MetricShard* out) const {
+  const auto add = [out](const char* name, uint64_t value) {
+    out->counter(name)->inc(value);
   };
-  sample("schedule_instances_added_total", schedule_.total_instances_added());
-  sample("schedule_advances_total", schedule_.total_advances());
-  sample("schedule_overlay_ops_total", schedule_.total_overlay_ops());
-  sample("schedule_index_queries_total", schedule_.total_index_queries());
-  sample("schedule_index_updates_total", schedule_.total_index_updates());
+  add("dhb_requests_total", requests_);
+  add("dhb_new_instances_total", new_instances_);
+  add("dhb_shared_instances_total", shared_);
+  add("dhb_slot_probes_total", probes_);
+  add("dhb_rejected_admissions_total", rejected_);
+  add("dhb_work_units_total", work_);
+  add("dhb_coalesced_requests_total", coalesced_);
+  add("dhb_admissions_placed_total", admissions_placed_);
+  add("dhb_admissions_all_shared_total", admissions_all_shared_);
+  add("dhb_cap_violation_slots_total", cap_violations_);
+  add("schedule_instances_added_total", schedule_.total_instances_added());
+  add("schedule_advances_total", static_cast<uint64_t>(schedule_.now()));
+  add("schedule_overlay_ops_total", schedule_.total_overlay_ops());
+  add("schedule_index_queries_total", schedule_.total_index_queries());
+  add("schedule_index_updates_total", schedule_.total_index_updates());
   // Memory-behavior meters (DESIGN.md §14): slab re-layouts and arena
   // block/byte consumption across the schedule slabs and the admission
   // scratch. The steady-state allocation audit asserts these flat.
-  sample("schedule_slab_grows_total", schedule_.total_slab_grows());
-  sample("schedule_arena_blocks_total", schedule_.total_arena_blocks());
-  sample("schedule_arena_bytes_total", schedule_.total_arena_bytes());
-  sample("dhb_scratch_blocks_total", scratch_.total_block_allocations());
-  return metrics_;
-}
-
-void DhbScheduler::export_metrics(obs::MetricShard* out) const {
-  out->merge_from(metrics());
+  add("schedule_slab_grows_total", schedule_.total_slab_grows());
+  add("schedule_arena_blocks_total", schedule_.total_arena_blocks());
+  add("schedule_arena_bytes_total", schedule_.total_arena_bytes());
+  add("dhb_scratch_blocks_total", scratch_.total_block_allocations());
 }
 
 std::optional<Slot> DhbScheduler::choose_capped_slot(Slot lo, Slot hi,
@@ -209,12 +192,12 @@ const DhbRequestResult& DhbScheduler::admit_batch(Segment first_segment,
   // each further request shares all of them — the plan is the leader's, no
   // heuristic runs, no rng is consumed, and the counters advance in bulk
   // exactly as `followers` sequential re-admissions' would.
-  c_requests_->inc(followers);
-  c_shared_->inc(followers * static_cast<uint64_t>(n));
-  c_probes_->inc(followers * sum_periods_);
-  c_work_->inc(followers * kWorkMemoCopy);
-  c_coalesced_->inc(followers);
-  c_adm_all_shared_->inc(followers);
+  requests_ += followers;
+  shared_ += followers * static_cast<uint64_t>(n);
+  probes_ += followers * sum_periods_;
+  work_ += followers * kWorkMemoCopy;
+  coalesced_ += followers;
+  admissions_all_shared_ += followers;
   VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
                     {"count", static_cast<int64_t>(followers)},
                     {"shared", n});
@@ -280,7 +263,7 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
                        static_cast<int>(j - first_segment + 1));
     const Slot hi = arrival + period;
     const uint64_t width = static_cast<uint64_t>(hi - lo + 1);
-    c_probes_->inc(width);
+    probes_ += width;
 
     Slot chosen = 0;
     bool is_new = false;
@@ -288,19 +271,19 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
     if (cap == 0) {
       // find_instance answers in O(1) off the latest-instance cache here:
       // lo is now+1, so the window is the whole scheduling future.
-      c_work_->inc(kWorkShareProbe);
+      work_ += kWorkShareProbe;
       if (std::optional<Slot> shared = schedule_.find_instance(j, lo, hi)) {
         chosen = *shared;
       } else {
         chosen = choose_slot(config_.heuristic, schedule_, lo, hi, &rng_,
                              fast);
         is_new = true;
-        c_work_->inc((fast ? kWorkIndexQuery : width) + kWorkCommit);
+        work_ += (fast ? kWorkIndexQuery : width) + kWorkCommit;
       }
     } else {
       // Prefer sharing an instance in a slot with remaining client capacity
       // (latest such instance: least buffering, most future sharing).
-      c_work_->inc(kWorkShareProbe);
+      work_ += kWorkShareProbe;
       const std::span<const Slot> existing = schedule_.instances_of(j);
       for (auto it = existing.rbegin(); it != existing.rend(); ++it) {
         if (*it < lo || *it > hi) continue;
@@ -316,17 +299,17 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
         // >= the mask means every slot in the window is saturated.
         std::optional<Slot> fresh;
         if (fast) {
-          c_work_->inc(kWorkIndexQuery);
+          work_ += kWorkIndexQuery;
           const SlotSchedule::MinLoad m = schedule_.min_load_latest(lo, hi);
           if (m.load < kClientSaturatedMask) fresh = m.slot;
         } else {
-          c_work_->inc(width);
+          work_ += width;
           fresh = choose_capped_slot(lo, hi, client_load, arrival);
         }
         if (fresh) {
           chosen = *fresh;
           is_new = true;
-          c_work_->inc(kWorkCommit);
+          work_ += kWorkCommit;
         } else {
           // The cap cannot be honoured anywhere in the window. Fall back to
           // the uncapped rule and record the violation: the plan stays
@@ -334,8 +317,8 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
           // The fallback must see raw loads, so it always runs the naive
           // scans (the placement index carries the saturation overlay).
           ++result.cap_violations;
-          c_cap_violations_->inc();
-          c_work_->inc(kWorkShareProbe);
+          ++cap_violations_;
+          work_ += kWorkShareProbe;
           if (std::optional<Slot> shared =
                   schedule_.find_instance(j, lo, hi)) {
             chosen = *shared;
@@ -343,7 +326,7 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
             chosen = choose_slot(SlotHeuristic::kMinLoadLatest, schedule_, lo,
                                  hi, &rng_, /*use_index=*/false);
             is_new = true;
-            c_work_->inc(width + kWorkCommit);
+            work_ += width + kWorkCommit;
           }
         }
       }
@@ -371,18 +354,17 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
 
   if (cap > 0 && fast) schedule_.clear_load_overlay();
   scratch_.rewind(scratch_mark);
-  finish_admission(result, qoe_count, "first", first_segment);
+  record_admission_qoe(qoe_count, result);
+  finish_admission(result, "first", first_segment);
 }
 
 void DhbScheduler::finish_admission(const DhbRequestResult& result,
-                                    uint64_t qoe_count,
                                     [[maybe_unused]] const char* detail_key,
                                     [[maybe_unused]] int detail_value) {
-  c_requests_->inc();
-  c_new_->inc(static_cast<uint64_t>(result.new_instances));
-  c_shared_->inc(static_cast<uint64_t>(result.shared_instances));
-  (result.new_instances > 0 ? c_adm_placed_ : c_adm_all_shared_)->inc();
-  record_admission_qoe(qoe_count, result);
+  ++requests_;
+  new_instances_ += static_cast<uint64_t>(result.new_instances);
+  shared_ += static_cast<uint64_t>(result.shared_instances);
+  ++(result.new_instances > 0 ? admissions_placed_ : admissions_all_shared_);
   VOD_TRACE_INSTANT(result.new_instances > 0 ? "admission/placed"
                                              : "admission/shared",
                     "dhb", result.plan.arrival_slot,
@@ -432,10 +414,10 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     const Slot lo = arrival + 1;
     const Slot hi = arrival + periods_[static_cast<size_t>(j - 1)];
     const uint64_t width = static_cast<uint64_t>(hi - lo + 1);
-    c_probes_->inc(width);
+    probes_ += width;
 
     Slot chosen = 0;
-    c_work_->inc(kWorkShareProbe);
+    work_ += kWorkShareProbe;
     if (std::optional<Slot> shared = schedule_.find_instance(j, lo, hi)) {
       chosen = *shared;
       ++result.shared_instances;
@@ -443,11 +425,11 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
       // Min-load-latest over slots still under the channel cap, counting
       // this request's own tentative placements.
       if (fast) {
-        c_work_->inc(kWorkIndexQuery);
+        work_ += kWorkIndexQuery;
         const SlotSchedule::MinLoad m = schedule_.min_load_latest(lo, hi);
         if (m.load < channel_cap) chosen = m.slot;
       } else {
-        c_work_->inc(width);
+        work_ += width;
         int best_load = channel_cap;
         for (Slot s = hi; s >= lo; --s) {
           const int load =
@@ -465,7 +447,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
         // per-admission cost metric.
         if (fast) schedule_.clear_load_overlay();
         scratch_.rewind(scratch_mark);
-        c_rejected_->inc();
+        ++rejected_;
         VOD_TRACE_INSTANT("admission/rejected", "dhb", arrival,
                           {"segment", j}, {"channel_cap", channel_cap});
         return std::nullopt;
@@ -477,7 +459,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
       }
       placements[placed++] = Placement{j, chosen};
       ++result.new_instances;
-      c_work_->inc(kWorkCommit);
+      work_ += kWorkCommit;
     }
     result.plan.reception_slot[static_cast<size_t>(j - 1)] = chosen;
   }
@@ -489,7 +471,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     schedule_.add_instance(placements[p].segment, placements[p].slot);
   }
   scratch_.rewind(scratch_mark);
-  finish_admission(result, 1, "channel_cap", channel_cap);
+  finish_admission(result, "channel_cap", channel_cap);
   return result;
 }
 
@@ -506,25 +488,6 @@ void DhbScheduler::set_heuristic(SlotHeuristic heuristic) {
   memo_valid_ = false;
   VOD_TRACE_INSTANT("heuristic/switch", "dhb", schedule_.now(),
                     {"heuristic", static_cast<int>(heuristic)});
-}
-
-std::span<const Segment> DhbScheduler::advance_slot_view() {
-  VOD_DCHECK_SERIAL(serial_);
-  memo_valid_ = false;  // plans are per-arrival-slot; the clock moved
-  // Slot boundary: every per-admission scratch allocation is dead, so the
-  // arena drops back to empty (blocks retained — warm slots allocate
-  // nothing from the system).
-  scratch_.reset();
-  const std::span<const Segment> out = schedule_.advance();
-  // Per-slot server bandwidth in streams: a Chrome counter track that
-  // renders the paper's Figure 7/8 load curves directly in the trace UI.
-  VOD_TRACE_COUNTER("streams", "dhb", schedule_.now(), out.size());
-#ifdef VOD_AUDIT
-  // Self-checking builds (cmake -DVOD_AUDIT=ON): deep-audit the schedule
-  // invariants after every slot; abort with a violation report on failure.
-  audit_or_die(*this);
-#endif
-  return out;
 }
 
 }  // namespace vod

@@ -12,7 +12,9 @@
 // (j = 1..n) the window (i, i + T[j]] is examined; an existing instance is
 // shared when present, otherwise a new instance is placed by the configured
 // slot heuristic. advance_slot_view() moves to the next slot and reports
-// what the server transmits during it.
+// what the server transmits during it. Callers step every slot, idle ones
+// included (an empty step is O(1)), so the scheduler's clock is the
+// caller's and every plan slot is a slot of the caller's run.
 //
 // Complexity. State is O(n + window). *Logical* cost is unchanged from the
 // paper: a request examines O(sum_j T[j]) window slots (total_slot_probes()
@@ -41,6 +43,7 @@
 #include "schedule/types.h"
 #include "sim/random.h"
 #include "util/arena.h"
+#include "util/check.h"
 #include "util/lifetime.h"
 #include "util/thread_checker.h"
 
@@ -139,14 +142,18 @@ class DhbScheduler {
   // (an admission controller) retries next slot, trading extra client
   // waiting for a hard bandwidth ceiling. Uses the paper's min-load-latest
   // rule restricted to under-cap slots. Unlimited-client-bandwidth only
-  // (client_stream_cap must be 0).
+  // (client_stream_cap must be 0). Records no QoE: only the caller knows
+  // how many slots a deferred request has already waited, so the caller
+  // (run_bounded_dhb_simulation) records it.
   std::optional<DhbRequestResult> on_request_bounded(int channel_cap);
 
   // Advances to the next slot; returns the segments the server transmits
   // during it (the per-slot bandwidth in streams is the span's size). The
   // span views the schedule's slab row for the new current slot and is
   // valid until the next mutating call on this scheduler: a caller that
-  // keeps the list longer copies it. Allocation-free on a warm scheduler.
+  // keeps the list longer copies it. Allocation-free on a warm scheduler,
+  // and O(1) on an empty schedule, where only the clock moves (inline, so
+  // a caller's idle steps cost no call).
   std::span<const Segment> advance_slot_view() VOD_LIFETIMEBOUND;
 
   // Switches the slot-choice rule live, mid-schedule — the reactive⇄DHB leg
@@ -183,20 +190,17 @@ class DhbScheduler {
   // ≤1-instance sharing check for this scheduler's lifetime.
   bool had_clamped_admissions() const { return had_clamped_admissions_; }
 
-  // Lifetime counters (for the scheduling-cost analysis of §3). The
-  // counters live in an obs::MetricShard owned by this scheduler — the
-  // accessors below are thin views over registry handles, so the same
-  // numbers flow unchanged into the Prometheus / JSONL exporters via
-  // metrics() without a second accounting path.
+  // Lifetime counters (for the scheduling-cost analysis of §3), plain
+  // fields whose metric names appear once, in export_metrics().
   // total_requests() counts admissions only; a bounded admission that was
   // refused shows up in total_rejected_admissions() instead, so the §3
   // probes-per-attempt metric is
   // total_slot_probes() / (total_requests() + total_rejected_admissions()).
-  uint64_t total_requests() const { return c_requests_->value(); }
-  uint64_t total_new_instances() const { return c_new_->value(); }
-  uint64_t total_shared() const { return c_shared_->value(); }
-  uint64_t total_slot_probes() const { return c_probes_->value(); }
-  uint64_t total_rejected_admissions() const { return c_rejected_->value(); }
+  uint64_t total_requests() const { return requests_; }
+  uint64_t total_new_instances() const { return new_instances_; }
+  uint64_t total_shared() const { return shared_; }
+  uint64_t total_slot_probes() const { return probes_; }
+  uint64_t total_rejected_admissions() const { return rejected_; }
 
   // Actual data-structure operations performed, as opposed to the logical
   // slot probes above: 1 per sharing check, plus a placement-attempt charge
@@ -205,21 +209,18 @@ class DhbScheduler {
   // coalesced follower (the memo copy). ScheduleAuditor asserts the
   // conservation law
   //   work_units >= requests + 2 * new_instances + rejected.
-  uint64_t total_work_units() const { return c_work_->value(); }
+  uint64_t total_work_units() const { return work_; }
 
   // Requests answered from the same-slot plan memo without touching the
   // schedule (always 0 when coalesce_same_slot is off).
-  uint64_t total_coalesced_requests() const { return c_coalesced_->value(); }
+  uint64_t total_coalesced_requests() const { return coalesced_; }
 
-  // The scheduler's metric shard: the counters above under their exported
-  // names (dhb_requests_total, dhb_work_units_total, ...) plus admission-
-  // outcome tallies and, refreshed on access, schedule_* structural-op
-  // counters sampled from the SlotSchedule/LoadIndex fast path.
-  const obs::MetricShard& metrics() const VOD_LIFETIMEBOUND;
-
-  // Folds this scheduler's shard into `out` (counters add) — how the
-  // multi-video engine aggregates per-video schedulers into its per-shard
-  // registry shards.
+  // Adds this scheduler's counters into `out` under their exported names
+  // (dhb_requests_total, dhb_work_units_total, ...), plus the admission-
+  // outcome tallies and the schedule_* structural-op meters of the
+  // SlotSchedule/LoadIndex fast path — how the simulation loops, and the
+  // multi-video engine's per-shard registry shards, collect a scheduler's
+  // accounting.
   void export_metrics(obs::MetricShard* out) const;
 
  private:
@@ -253,18 +254,17 @@ class DhbScheduler {
   void admit(Segment first_segment, Segment last_segment, uint64_t qoe_count);
 
   // End of every admission that reached the schedule (admit() and a
-  // successful on_request_bounded()): the lifetime counters, one QoE record
-  // standing for `qoe_count` requests, and the placed/shared trace event,
-  // whose third argument is the entry point's own ("first" or
-  // "channel_cap").
-  void finish_admission(const DhbRequestResult& result, uint64_t qoe_count,
+  // successful on_request_bounded()): the lifetime counters and the
+  // placed/shared trace event, whose third argument is the entry point's
+  // own ("first" or "channel_cap").
+  void finish_admission(const DhbRequestResult& result,
                         const char* detail_key, int detail_value);
 
   // Single-writer discipline (DESIGN.md §11): a scheduler — its schedule,
-  // rng, memo, and the lifetime counters in metrics_ — is mutated by one
-  // thread at a time. The sharded engine honors this by giving every video
-  // its own scheduler on one worker; Debug builds enforce it on each
-  // mutating entry point via VOD_DCHECK_SERIAL.
+  // rng, memo, and lifetime counters — is mutated by one thread at a time.
+  // The sharded engine honors this by giving every video its own scheduler
+  // on one worker; Debug builds enforce it on each mutating entry point via
+  // VOD_DCHECK_SERIAL.
   ThreadChecker serial_;
 
   DhbConfig config_;
@@ -275,21 +275,17 @@ class DhbScheduler {
   SlotSchedule schedule_;
   Rng rng_;
 
-  // Counter storage + cached stable handles (see metrics()). The handles
-  // keep the hot-path cost at one pointer indirection per bump; the names
-  // are resolved once in the constructor.
-  mutable obs::MetricShard metrics_;  // mutable: metrics() refreshes the
-                                      // schedule_* samples on access
-  obs::Counter* c_requests_;
-  obs::Counter* c_new_;
-  obs::Counter* c_shared_;
-  obs::Counter* c_probes_;
-  obs::Counter* c_rejected_;
-  obs::Counter* c_work_;
-  obs::Counter* c_coalesced_;
-  obs::Counter* c_adm_placed_;      // admissions that placed >= 1 instance
-  obs::Counter* c_adm_all_shared_;  // admissions sharing every segment
-  obs::Counter* c_cap_violations_;  // client-cap violation slots
+  // Lifetime counters; export_metrics() names them.
+  uint64_t requests_ = 0;
+  uint64_t new_instances_ = 0;
+  uint64_t shared_ = 0;
+  uint64_t probes_ = 0;
+  uint64_t rejected_ = 0;
+  uint64_t work_ = 0;
+  uint64_t coalesced_ = 0;
+  uint64_t admissions_placed_ = 0;      // admissions placing >= 1 instance
+  uint64_t admissions_all_shared_ = 0;  // admissions sharing every segment
+  uint64_t cap_violations_ = 0;         // client-cap violation slots
   bool had_clamped_admissions_ = false;
 
   // Same-slot coalescing memo: once a full request has been admitted in the
@@ -311,5 +307,40 @@ class DhbScheduler {
   // recycles its warm blocks: zero system allocations per slot.
   Arena scratch_{size_t{4096}};
 };
+
+#ifdef VOD_AUDIT
+// Implemented in analysis/schedule_auditor.cc. Declared here instead of
+// including the header: analysis sits above every engine layer and nothing
+// below it may depend on it (scripts/lint_layering.py), so audit builds
+// reach the auditor through this forward declaration — a link-time hook,
+// not an include edge.
+void audit_or_die(const DhbScheduler& scheduler);
+#endif
+
+inline std::span<const Segment> DhbScheduler::advance_slot_view() {
+  VOD_DCHECK_SERIAL(serial_);
+  if (schedule_.total_scheduled() == 0) {
+    // Every admission that succeeds leaves an instance in the window, so
+    // none has run since the last step (a refused bounded one invalidates
+    // the memo and rewinds the arena itself): the memo is already invalid
+    // and the scratch arena already reset. Only the clock moves.
+    VOD_DCHECK(!memo_valid_);
+    VOD_DCHECK(scratch_.mark().block == 0 && scratch_.mark().used == 0);
+  } else {
+    memo_valid_ = false;  // plans are per-arrival-slot; the clock moved
+    // Slot boundary: every per-admission scratch allocation is dead, so
+    // the arena drops back to empty (blocks retained — warm slots allocate
+    // nothing from the system).
+    scratch_.reset();
+  }
+  const std::span<const Segment> out = schedule_.advance();
+#ifdef VOD_AUDIT
+  // Self-checking builds (cmake -DVOD_AUDIT=ON): deep-audit the schedule
+  // invariants after every slot, empty ones included; abort with a
+  // violation report on failure.
+  audit_or_die(*this);
+#endif
+  return out;
+}
 
 }  // namespace vod

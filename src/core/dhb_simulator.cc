@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "obs/qoe.h"
 #include "obs/trace.h"
 #include "schedule/slot_math.h"
 #include "util/check.h"
@@ -41,6 +42,9 @@ SlottedSimResult run_dhb_simulation(const DhbConfig& dhb,
   for (uint64_t step = 0; step < total_slots; ++step) {
     const size_t streams = scheduler.advance_slot_view().size();
     const Slot now = scheduler.current_slot();
+    // Per-slot server bandwidth in streams: a Chrome counter track that
+    // renders the paper's Figure 7/8 load curves directly in the trace UI.
+    VOD_TRACE_COUNTER("streams", "dhb", now, streams);
     const bool measuring = step >= warmup_slots;
     meter.add_slot(static_cast<int>(streams));
 
@@ -125,9 +129,10 @@ BoundedSimResult run_bounded_dhb_simulation(const DhbConfig& dhb,
   double next_arrival = arrivals.next();
   for (uint64_t step = 0; step < total_slots; ++step) {
     const int streams = static_cast<int>(scheduler.advance_slot_view().size());
+    const Slot now = scheduler.current_slot();
+    VOD_TRACE_COUNTER("streams", "dhb", now, streams);
     VOD_CHECK(streams <= sim.channel_cap);
     meter.add_slot(streams);
-    const Slot now = scheduler.current_slot();
     const bool measuring = step >= warmup_slots;
 
     // Deferred requests retry FIFO; head-of-line blocking keeps order.
@@ -135,6 +140,14 @@ BoundedSimResult run_bounded_dhb_simulation(const DhbConfig& dhb,
       const std::optional<DhbRequestResult> r =
           scheduler.on_request_bounded(sim.channel_cap);
       if (!r) return false;
+      // The scheduler sees only the admission slot; the startup wait runs
+      // from the request's own arrival slot, deferral included.
+      if (obs::QoeShard* qoe = obs::current_qoe()) {
+        const Slot startup = r->plan.reception_slot.front() - arrived;
+        qoe->record_admission(1, now, static_cast<double>(startup),
+                              static_cast<uint64_t>(r->cap_violations),
+                              r->plan.reception_slot.size());
+      }
       if (measuring) {
         ++result.requests;
         const int wait = static_cast<int>(now - arrived);

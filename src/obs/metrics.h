@@ -12,12 +12,12 @@
 //
 // Metric handles (Counter*, Gauge*, HistogramMetric*) returned by the
 // find-or-create accessors are stable for the shard's lifetime (std::map
-// nodes never move), so hot paths pay one pointer indirection per update —
-// this is what lets DhbScheduler keep its lifetime counters *in* a shard
-// while the public total_*() accessors stay thin views over it.
+// nodes never move), so hot paths pay one pointer indirection per update.
+// Schedulers and simulation loops keep their lifetime counters as plain
+// fields and add them into a shard when they export.
 //
-// This header is always compiled: the registry is the accounting layer the
-// scheduler's counters live in. Only the VOD_TRACE_* event macros
+// This header is always compiled: exports and the engine's explicit metric
+// writes go through it in every build. Only the VOD_TRACE_* event macros
 // (obs/trace.h) compile away under VOD_OBSERVE=OFF.
 #pragma once
 

@@ -82,8 +82,6 @@ void QoeShard::set_context(uint32_t video, int32_t rung) {
   context_group_ = &group(video, rung);
 }
 
-void QoeShard::set_rung(int32_t rung) { set_context(video_, rung); }
-
 QoeGroup& QoeShard::group(uint32_t video, int32_t rung) {
   const QoeKey key{video, rung};
   auto it = groups_.find(key);
@@ -93,7 +91,7 @@ QoeGroup& QoeShard::group(uint32_t video, int32_t rung) {
   return it->second;
 }
 
-void QoeShard::record_admission(uint64_t count, int64_t arrival_slot,
+void QoeShard::record_admission(uint64_t count, int64_t slot,
                                 double wait_slots,
                                 uint64_t late_segments_per_request,
                                 uint64_t segments_per_request) {
@@ -103,7 +101,6 @@ void QoeShard::record_admission(uint64_t count, int64_t arrival_slot,
   QoeGroup& g = context_group_ != nullptr ? *context_group_
                                           : group(video_, rung_);
   context_group_ = &g;
-  const int64_t slot = arrival_slot + slot_offset_;
   const uint64_t request_id =
       (static_cast<uint64_t>(video_) << 32) |
       (g.next_request_seq & 0xffffffffull);

@@ -149,8 +149,8 @@ struct QoeSample {
 };
 
 // One writer's QoE namespace: groups keyed (video, rung), a recent-sample
-// ring, and the ambient (video, rung, slot offset) recording context the
-// serving layers set before admitting.
+// ring, and the ambient (video, rung) recording context the serving layers
+// set before admitting.
 class QoeShard {
  public:
   explicit QoeShard(const QoeOptions& options = {});
@@ -160,21 +160,18 @@ class QoeShard {
   QoeShard& operator=(const QoeShard&) = delete;
 
   // Recording context. AdaptiveVideo sets (video, rung) before every
-  // batch; the engine sets it per video for pinned ladders. slot_offset
-  // translates a writer's local clock to engine slots (AdaptiveVideo's
-  // dynamic scheduler runs a drained-and-restarted local clock).
+  // batch; the engine sets it per video for pinned ladders. Every writer
+  // records in its caller's slots: a scheduler is stepped on every slot,
+  // so its clock is the engine's.
   void set_context(uint32_t video, int32_t rung);
-  void set_rung(int32_t rung);
-  void set_slot_offset(int64_t offset) { slot_offset_ = offset; }
-  int64_t slot_offset() const { return slot_offset_; }
   uint32_t video() const { return video_; }
   int32_t rung() const { return rung_; }
 
-  // `count` identical requests admitted at (local) `arrival_slot`, each
-  // waiting `wait_slots` for its first segment, each missing
+  // `count` identical requests admitted during `slot`, each waiting
+  // `wait_slots` for its first segment, each missing
   // `late_segments_per_request` of its `segments_per_request` deadlines.
-  void record_admission(uint64_t count, int64_t arrival_slot,
-                        double wait_slots, uint64_t late_segments_per_request,
+  void record_admission(uint64_t count, int64_t slot, double wait_slots,
+                        uint64_t late_segments_per_request,
                         uint64_t segments_per_request);
 
   const std::map<QoeKey, QoeGroup>& groups() const { return groups_; }
@@ -206,7 +203,6 @@ class QoeShard {
   uint64_t total_requests_ = 0;
   uint32_t video_ = 0;
   int32_t rung_ = 0;
-  int64_t slot_offset_ = 0;
   // Context ring for violation dumps.
   std::vector<QoeSample> ring_;
   size_t ring_next_ = 0;

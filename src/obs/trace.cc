@@ -132,19 +132,12 @@ EngineObserver::EngineObserver() = default;
 EngineObserver::EngineObserver(Options options) : options_(options) {}
 EngineObserver::~EngineObserver() = default;
 
-void EngineObserver::set_qoe_options(const QoeOptions& options) {
-  VOD_CHECK_MSG(qoe_.empty(),
-                "set_qoe_options() must precede the first prepare()");
-  qoe_options_ = std::make_unique<QoeOptions>(options);
-}
-
 void EngineObserver::prepare(size_t num_shards) {
   registry_.prepare(num_shards);
-  if (qoe_options_ == nullptr) qoe_options_ = std::make_unique<QoeOptions>();
   while (traces_.size() < num_shards) {
     traces_.push_back(
         std::make_unique<TraceBuffer>(options_.trace_capacity_per_shard));
-    qoe_.push_back(std::make_unique<QoeShard>(*qoe_options_));
+    qoe_.push_back(std::make_unique<QoeShard>());
     flights_.push_back(
         std::make_unique<FlightRecorder>(options_.flight_capacity_per_shard));
   }
@@ -165,24 +158,6 @@ ObsSink EngineObserver::sink(size_t shard) {
                  qoe_[shard].get(), flights_[shard].get()};
 }
 
-TraceBuffer& EngineObserver::trace(size_t shard) {
-  VOD_CHECK_MSG(shard < traces_.size(),
-                "EngineObserver::prepare() must cover every shard");
-  return *traces_[shard];
-}
-
-QoeShard& EngineObserver::qoe(size_t shard) {
-  VOD_CHECK_MSG(shard < qoe_.size(),
-                "EngineObserver::prepare() must cover every shard");
-  return *qoe_[shard];
-}
-
-FlightRecorder& EngineObserver::flight(size_t shard) {
-  VOD_CHECK_MSG(shard < flights_.size(),
-                "EngineObserver::prepare() must cover every shard");
-  return *flights_[shard];
-}
-
 std::vector<const TraceBuffer*> EngineObserver::trace_buffers() const {
   std::vector<const TraceBuffer*> out;
   out.reserve(traces_.size());
@@ -191,8 +166,7 @@ std::vector<const TraceBuffer*> EngineObserver::trace_buffers() const {
 }
 
 std::unique_ptr<QoeShard> EngineObserver::merged_qoe() const {
-  auto merged = std::make_unique<QoeShard>(
-      qoe_options_ != nullptr ? *qoe_options_ : QoeOptions{});
+  auto merged = std::make_unique<QoeShard>();
   for (const auto& shard : qoe_) merged->merge_from(*shard);
   return merged;
 }

@@ -115,7 +115,6 @@ class TraceBuffer {
 
 class QoeShard;        // obs/qoe.h
 class FlightRecorder;  // obs/flight_recorder.h
-struct QoeOptions;     // obs/qoe.h
 
 // Where the macros record. All members optional; a null member simply
 // drops that kind of recording. `qoe` and `flight` are written only
@@ -197,18 +196,8 @@ class EngineObserver {
   // Orchestrator-only (not thread-safe).
   void prepare(size_t num_shards);
 
-  // QoE histogram/SLO parameters for shards created by later prepare()
-  // calls; call before prepare(). Defaults to QoeOptions{}.
-  void set_qoe_options(const QoeOptions& options);
-
   size_t num_shards() const { return traces_.size(); }
   ObsSink sink(size_t shard);
-
-  MetricsRegistry& registry() { return registry_; }
-  const MetricsRegistry& registry() const { return registry_; }
-  TraceBuffer& trace(size_t shard);
-  QoeShard& qoe(size_t shard);
-  FlightRecorder& flight(size_t shard);
 
   // Every shard's trace ring, ascending shard order (exporter input).
   std::vector<const TraceBuffer*> trace_buffers() const;
@@ -221,7 +210,6 @@ class EngineObserver {
 
  private:
   Options options_;
-  std::unique_ptr<QoeOptions> qoe_options_;  // set lazily; see set_qoe_options
   MetricsRegistry registry_;
   std::vector<std::unique_ptr<TraceBuffer>> traces_;
   std::vector<std::unique_ptr<QoeShard>> qoe_;

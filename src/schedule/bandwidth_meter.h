@@ -31,15 +31,6 @@ class BandwidthMeter {
   // 95% batch-means confidence interval on the mean.
   ConfidenceInterval mean_ci95() const { return batches_.interval95(); }
 
-  // Converts the mean to MB/s given the per-stream rate in KB/s (the VBR
-  // experiments of the paper's §4 report MB/s).
-  double mean_mbs(double stream_kbs) const {
-    return mean_streams() * stream_kbs / 1000.0;
-  }
-  double max_mbs(double stream_kbs) const {
-    return max_streams() * stream_kbs / 1000.0;
-  }
-
   // Per-slot stream distribution over the measured (post-warmup) window,
   // at one-stream resolution up to kHistogramMax (heavier slots clamp into
   // the top bin): bin k holds the slots that carried k streams. The tail

@@ -165,10 +165,7 @@ void SlotSchedule::add_instance(Segment j, Slot s) {
   latest_[sj] = std::max(latest_[sj], s);
 }
 
-std::span<const Segment> SlotSchedule::advance() {
-  VOD_DCHECK(overlay_.empty());  // no advance() with a live load overlay
-  ++advances_;
-  ++now_;
+std::span<const Segment> SlotSchedule::vacate_current_row() {
   const size_t pos = ring_index(now_);
   Segment* row = contents_row(pos);
   const int len = contents_len_[pos];

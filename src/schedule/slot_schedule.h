@@ -58,6 +58,7 @@
 #include "schedule/load_index.h"
 #include "schedule/types.h"
 #include "util/arena.h"
+#include "util/check.h"
 #include "util/lifetime.h"
 
 namespace vod {
@@ -110,8 +111,15 @@ class SlotSchedule {
   // Advances the clock by one slot and returns the segments transmitted
   // during the new current slot (its content is final: no request arriving
   // from now on may schedule into it). Requires an empty overlay. The span
-  // views the vacated ring row: valid until the next mutating call.
-  std::span<const Segment> advance() VOD_LIFETIMEBOUND;
+  // views the vacated ring row: valid until the next mutating call. On an
+  // empty schedule only the clock moves, so an idle step is O(1) and, being
+  // inline, costs the caller no call.
+  std::span<const Segment> advance() VOD_LIFETIMEBOUND {
+    VOD_DCHECK(overlay_.empty());  // no advance() with a live load overlay
+    ++now_;
+    if (total_ == 0) return {};  // every ring row is already clear
+    return vacate_current_row();
+  }
 
   // Total instances currently scheduled in the window.
   int total_scheduled() const { return total_; }
@@ -154,10 +162,10 @@ class SlotSchedule {
   bool has_load_overlay() const { return !overlay_.empty(); }
 
   // --- Lifetime operation accounting (observability) -------------------
-  // Raw structural-op counts the scheduler exports as schedule_* metrics.
-  // Monotone over the schedule's lifetime; never read on a decision path.
+  // Raw structural-op counts the scheduler exports as schedule_* metrics
+  // (the clock, now(), counts the advances). Monotone over the schedule's
+  // lifetime; never read on a decision path.
   uint64_t total_instances_added() const { return instances_added_; }
-  uint64_t total_advances() const { return advances_; }
   uint64_t total_overlay_ops() const { return overlay_ops_; }
   uint64_t total_index_queries() const { return index_.total_queries(); }
   uint64_t total_index_updates() const { return index_.total_updates(); }
@@ -197,6 +205,10 @@ class SlotSchedule {
   void grow_contents();
   void grow_segments();
 
+  // advance() on a non-empty schedule: empties the new current slot's ring
+  // row and drops its instances from their segment rows.
+  std::span<const Segment> vacate_current_row() VOD_LIFETIMEBOUND;
+
   // Raw-ring scan over positions [p_hi .. p_lo] descending / ascending,
   // continuing from (best_load, best_pos). Helpers for the batched probes.
   void scan_desc(size_t p_hi, size_t p_lo, int* best_load,
@@ -226,7 +238,6 @@ class SlotSchedule {
   LoadIndex index_;  // range-min over loads_ + overlay
   std::vector<std::pair<size_t, int>> overlay_;  // applied (pos, delta) pairs
   uint64_t instances_added_ = 0;                 // lifetime op meters
-  uint64_t advances_ = 0;
   uint64_t overlay_ops_ = 0;
   uint64_t slab_grows_ = 0;
 };

@@ -16,6 +16,16 @@ namespace {
 // "Transmit forever" sentinel for an active static stream's off slot.
 constexpr Slot kNeverOff = std::numeric_limits<Slot>::max();
 
+DhbConfig dynamic_config(const AdaptiveVideoConfig& config,
+                         SlotHeuristic heuristic) {
+  DhbConfig dhb;
+  dhb.num_segments = config.num_segments;
+  dhb.heuristic = heuristic;
+  dhb.use_placement_index = config.fast_admission;
+  dhb.coalesce_same_slot = config.fast_admission;
+  return dhb;
+}
+
 }  // namespace
 
 std::string to_string(ServingMode mode) {
@@ -51,12 +61,9 @@ AdaptiveVideo::AdaptiveVideo(const AdaptiveVideoConfig& config,
       probe_(probe),
       estimator_(config.ewma),
       controller_(config.controller),
-      c_switches_(metrics_.counter("adaptive_switches_total")),
-      c_slots_reactive_(metrics_.counter("adaptive_slots_mode_reactive_total")),
-      c_slots_dhb_(metrics_.counter("adaptive_slots_mode_dhb_total")),
-      c_slots_static_(metrics_.counter("adaptive_slots_mode_static_total")),
-      c_overlap_slots_(
-          metrics_.counter("adaptive_migration_overlap_slots_total")) {
+      mode_(static_cast<ServingMode>(controller_.mode())),
+      pending_mode_(mode_),
+      scheduler_(dynamic_config(config, heuristic_for(mode_))) {
   VOD_CHECK_MSG(config_.num_segments >= 1, "need at least one segment");
   VOD_CHECK_MSG(mapping_ != nullptr, "adaptive video needs an NPB mapping");
   VOD_CHECK_MSG(mapping_->num_segments() == config_.num_segments,
@@ -64,8 +71,6 @@ AdaptiveVideo::AdaptiveVideo(const AdaptiveVideoConfig& config,
   VOD_CHECK_MSG(controller_.num_modes() == 3,
                 "the adaptive ladder has exactly three rungs "
                 "(reactive / dhb / static)");
-  mode_ = static_cast<ServingMode>(controller_.mode());
-  pending_mode_ = mode_;
 
   // Per-stream drain horizons: the largest transmission period packed on a
   // stream bounds how long any client could still be waiting for it. Every
@@ -106,8 +111,7 @@ SlotHeuristic AdaptiveVideo::heuristic_for(ServingMode mode) {
 
 bool AdaptiveVideo::migrating() const {
   const bool dynamic_draining =
-      !mode_dynamic(mode_) && scheduler_ != nullptr &&
-      scheduler_->schedule().total_scheduled() > 0;
+      !mode_dynamic(mode_) && scheduler_.schedule().total_scheduled() > 0;
   const bool static_draining = !static_on_ && mode_dynamic(mode_) &&
                                std::any_of(static_off_slot_.begin(),
                                            static_off_slot_.end(),
@@ -117,44 +121,33 @@ bool AdaptiveVideo::migrating() const {
   return dynamic_draining || static_draining;
 }
 
-void AdaptiveVideo::ensure_scheduler() {
-  if (scheduler_) return;
-  DhbConfig dhb;
-  dhb.num_segments = config_.num_segments;
-  dhb.heuristic = heuristic_for(mode_);
-  dhb.use_placement_index = config_.fast_admission;
-  dhb.coalesce_same_slot = config_.fast_admission;
-  scheduler_ = std::make_unique<DhbScheduler>(dhb);
-}
-
 void AdaptiveVideo::commit_transition(ServingMode to) {
   const ServingMode from = mode_;
   if (mode_dynamic(from) && mode_dynamic(to)) {
     // reactive <-> dhb: same schedule, new placement rule for future
     // instances only. Nothing drains; committed plans are untouched.
-    if (scheduler_) scheduler_->set_heuristic(heuristic_for(to));
+    scheduler_.set_heuristic(heuristic_for(to));
   } else if (to == ServingMode::kStatic) {
     // dynamic -> static: broadcast on from this slot; the dynamic schedule
     // stops admitting and plays out its committed instances.
     static_on_ = true;
     std::fill(static_off_slot_.begin(), static_off_slot_.end(), kNeverOff);
   } else {
-    // static -> dynamic: admissions move to a (possibly resumed) dynamic
-    // scheduler; each broadcast stream stays on through the last slot any
-    // already-admitted static client could still need it, then shuts off.
+    // static -> dynamic: admissions move to the dynamic scheduler; each
+    // broadcast stream stays on through the last slot any already-admitted
+    // static client could still need it, then shuts off.
     static_on_ = false;
     for (size_t r = 0; r < static_off_slot_.size(); ++r) {
       static_off_slot_[r] =
           has_static_clients_ ? last_static_arrival_ + stream_max_period_[r]
                               : now_ - 1;
     }
-    // A scheduler still draining from an earlier dynamic->static switch is
-    // simply re-adopted — its committed plans are valid under any rule.
-    if (scheduler_) scheduler_->set_heuristic(heuristic_for(to));
+    // A schedule still draining from the dynamic->static switch keeps
+    // playing out — its committed plans are valid under any rule.
+    scheduler_.set_heuristic(heuristic_for(to));
   }
   mode_ = to;
   ++switches_;
-  c_switches_->inc();
   VOD_TRACE_INSTANT("adaptive/switch", "adaptive", now_,
                     {"from", static_cast<int>(from)},
                     {"to", static_cast<int>(to)});
@@ -167,7 +160,7 @@ void AdaptiveVideo::commit_transition(ServingMode to) {
     rec.dwell = controller_.dwell();
     rec.rung_before = static_cast<int32_t>(from);
     rec.rung_after = static_cast<int32_t>(to);
-    rec.overlap_slots = static_cast<int64_t>(c_overlap_slots_->value());
+    rec.overlap_slots = static_cast<int64_t>(overlap_slots_);
     // A commit the controller did not ask for came from force_mode().
     rec.forced = static_cast<int>(to) != controller_.mode();
     rec.committed = true;
@@ -181,29 +174,11 @@ int AdaptiveVideo::advance_slot() {
   ++now_;
   if (pending_mode_ != mode_) commit_transition(pending_mode_);
 
+  // Dynamic side: stepped in every mode, so its clock stays now_.
   const bool want_list = probe_ != nullptr;
-  if (want_list) transmitted_scratch_.clear();
-
-  // Dynamic side: advance a non-empty schedule (an empty one is skipped,
-  // the engine's idle early-out — semantically a no-op because an empty
-  // schedule is translation-invariant); a drained retired scheduler is
-  // exported and destroyed.
-  int streams = 0;
-  if (scheduler_) {
-    if (scheduler_->schedule().total_scheduled() > 0) {
-      const std::span<const Segment> sent = scheduler_->advance_slot_view();
-      streams += static_cast<int>(sent.size());
-      if (want_list) {
-        transmitted_scratch_.insert(transmitted_scratch_.end(), sent.begin(),
-                                    sent.end());
-      }
-    }
-    if (!mode_dynamic(mode_) &&
-        scheduler_->schedule().total_scheduled() == 0) {
-      scheduler_->export_metrics(&metrics_);
-      scheduler_.reset();
-    }
-  }
+  const std::span<const Segment> sent = scheduler_.advance_slot_view();
+  int streams = static_cast<int>(sent.size());
+  if (want_list) transmitted_scratch_.assign(sent.begin(), sent.end());
 
   // Static side: active streams are reserved channels whether or not this
   // slot of the mapping carries a segment.
@@ -217,20 +192,9 @@ int AdaptiveVideo::advance_slot() {
       if (seg != 0) transmitted_scratch_.push_back(seg);
     }
   }
-  if (streams > 0 && static_streams > 0) c_overlap_slots_->inc();
+  if (streams > 0 && static_streams > 0) ++overlap_slots_;
   streams += static_streams;
-
-  switch (mode_) {
-    case ServingMode::kReactive:
-      c_slots_reactive_->inc();
-      break;
-    case ServingMode::kDhb:
-      c_slots_dhb_->inc();
-      break;
-    case ServingMode::kStatic:
-      c_slots_static_->inc();
-      break;
-  }
+  ++mode_slots_[static_cast<size_t>(mode_)];
   if (probe_ != nullptr) probe_->on_slot(now_, transmitted_scratch_);
   return streams;
 }
@@ -247,23 +211,13 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
 
   if (count > 0) {
     if (mode_dynamic(mode_)) {
-      ensure_scheduler();
-      // The scheduler's clock lags the global one across skipped idle
-      // slots; the offset is constant while any plan is in flight.
-      const Slot offset = now_ - scheduler_->current_slot();
-      // The scheduler records this batch's QoE itself, in its local clock;
-      // the offset translates those sample slots to the video's clock.
-      if (qoe != nullptr) qoe->set_slot_offset(offset);
-      // Only a probe reads the plan; without one, nothing is copied out.
+      // The scheduler records this batch's QoE itself. Only a probe reads
+      // the plan; without one, nothing is copied out.
       if (probe_ == nullptr) {
-        scheduler_->on_request_batch_discard(count);
-        if (qoe != nullptr) qoe->set_slot_offset(0);
+        scheduler_.on_request_batch_discard(count);
       } else {
-        ClientPlan plan = scheduler_->on_request_batch(count).plan;
-        if (qoe != nullptr) qoe->set_slot_offset(0);
-        plan.arrival_slot += offset;
-        for (Slot& s : plan.reception_slot) s += offset;
-        probe_->on_admission(plan, scheduler_->periods(), count, mode_);
+        probe_->on_admission(scheduler_.on_request_batch(count).plan,
+                             scheduler_.periods(), count, mode_);
       }
     } else {
       last_static_arrival_ = now_;
@@ -318,7 +272,7 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
       rec.dwell = decision.dwell;
       rec.rung_before = decision.previous;
       rec.rung_after = decision.mode;
-      rec.overlap_slots = static_cast<int64_t>(c_overlap_slots_->value());
+      rec.overlap_slots = static_cast<int64_t>(overlap_slots_);
       rec.dwell_blocked = decision.dwell_blocked;
       flight->record(rec);
     }
@@ -331,8 +285,13 @@ void AdaptiveVideo::force_mode(ServingMode mode) {
 }
 
 void AdaptiveVideo::export_metrics(obs::MetricShard* out) const {
-  out->merge_from(metrics_);
-  if (scheduler_) scheduler_->export_metrics(out);
+  out->counter("adaptive_switches_total")->inc(switches_);
+  out->counter("adaptive_slots_mode_reactive_total")->inc(mode_slots_[0]);
+  out->counter("adaptive_slots_mode_dhb_total")->inc(mode_slots_[1]);
+  out->counter("adaptive_slots_mode_static_total")->inc(mode_slots_[2]);
+  out->counter("adaptive_migration_overlap_slots_total")
+      ->inc(overlap_slots_);
+  scheduler_.export_metrics(out);
 }
 
 }  // namespace vod

@@ -35,10 +35,10 @@
 //                       serve every client arriving from that slot on; the
 //                       dynamic schedule stops admitting and drains — every
 //                       committed instance still transmits, so old clients
-//                       play out their fixed plans — then the scheduler is
-//                       retired. Bandwidth briefly pays for both: that
-//                       overlap is the real migration cost and is metered.
-//   static → dynamic  — a dynamic scheduler admits every client from the
+//                       play out their fixed plans. Bandwidth briefly pays
+//                       for both: that overlap is the real migration cost
+//                       and is metered.
+//   static → dynamic  — the dynamic scheduler admits every client from the
 //                       boundary on, while the broadcast drains
 //                       *progressively*: stream r keeps transmitting until
 //                       slot a_last + max_period(r), where a_last is the
@@ -52,6 +52,11 @@
 // end-to-end by analysis/transition_auditor.h through the AdaptiveProbe
 // hook below, and fuzzed with random forced switch points.
 //
+// One DhbScheduler serves both dynamic rungs for the video's whole life.
+// It is stepped every slot, idle and static ones included (an empty step
+// is O(1)), so its clock is the video's: every plan, QoE sample and trace
+// event it produces carries the video's own slots.
+//
 // Determinism: the class consumes no randomness and no clock; its state
 // advances only through advance_slot()/on_slot_arrivals(). The sharded
 // engine therefore keeps its bit-identity-at-any-thread-count guarantee
@@ -59,8 +64,8 @@
 // one shard kernel).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -103,9 +108,8 @@ struct AdaptiveVideoConfig {
   ControllerConfig controller = default_adaptive_controller();
 };
 
-// Observation hook for auditors and tests. Every slot/plan value is in
-// *global* slots (the video's own monotone clock), regardless of which
-// scheduler generation produced it. Implemented by
+// Observation hook for auditors and tests. Every slot/plan value is in the
+// video's own slots (AdaptiveVideo::now()). Implemented by
 // analysis/transition_auditor.h; the engine runs with no probe attached.
 class AdaptiveProbe {
  public:
@@ -162,25 +166,22 @@ class AdaptiveVideo {
   uint64_t switches() const { return switches_; }
   const EwmaRateEstimator& estimator() const { return estimator_; }
   const ProtocolController& controller() const { return controller_; }
-  // Null when no dynamic scheduler is live (static mode, fully drained).
-  const DhbScheduler* scheduler() const { return scheduler_.get(); }
-  bool static_streams_on() const { return static_on_; }
+  // The dynamic rungs' scheduler; its current_slot() is now().
+  const DhbScheduler& scheduler() const { return scheduler_; }
   // True while a retired mode is still transmitting (dynamic schedule
   // draining after dynamic->static, or static streams draining after
   // static->dynamic).
   bool migrating() const;
 
-  // Folds the adaptive counters (adaptive_switches_total,
+  // Adds the adaptive counters (adaptive_switches_total,
   // adaptive_slots_mode_*_total, adaptive_migration_overlap_slots_total)
-  // plus every scheduler generation's dhb_*/schedule_* counters into
-  // `out`, including generations already retired.
+  // plus the scheduler's dhb_*/schedule_* counters into `out`.
   void export_metrics(obs::MetricShard* out) const;
 
  private:
   static SlotHeuristic heuristic_for(ServingMode mode);
   bool mode_dynamic(ServingMode m) const { return m != ServingMode::kStatic; }
   void commit_transition(ServingMode to);
-  void ensure_scheduler();
 
   // Single-writer discipline: one thread mutates a video at a time (the
   // sharded engine runs each video inside exactly one shard kernel).
@@ -198,13 +199,9 @@ class AdaptiveVideo {
   ServingMode pending_mode_;
   uint64_t switches_ = 0;
 
-  // Dynamic side. The scheduler is created on first dynamic admission and
-  // retired once it drains after a dynamic->static migration; its clock is
-  // local (idle slots are skipped, like the engine's early-out), so global
-  // plan slots are translated by (now_ - scheduler_->current_slot()) at
-  // admission time — constant while any plan is in flight, because a
-  // non-empty schedule is never skipped.
-  std::unique_ptr<DhbScheduler> scheduler_;
+  // Dynamic side: admits under the reactive and DHB rungs, drains under
+  // the static one.
+  DhbScheduler scheduler_;
 
   // Static side. The broadcast phase is global — mapping slot == global
   // slot — so reactivation after an incomplete drain needs no phase
@@ -220,13 +217,9 @@ class AdaptiveVideo {
   // Scratch for the merged per-slot transmission list (probe mode only).
   std::vector<Segment> transmitted_scratch_;
 
-  // adaptive_* counters + retired scheduler generations, merged on export.
-  obs::MetricShard metrics_;
-  obs::Counter* c_switches_;
-  obs::Counter* c_slots_reactive_;
-  obs::Counter* c_slots_dhb_;
-  obs::Counter* c_slots_static_;
-  obs::Counter* c_overlap_slots_;
+  // Lifetime counters besides switches_; export_metrics() names them.
+  std::array<uint64_t, 3> mode_slots_{};  // slots served, by ServingMode
+  uint64_t overlap_slots_ = 0;            // slots both sides transmitted
 };
 
 }  // namespace vod

@@ -163,14 +163,11 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
         streams = adaptive->advance_slot();
       } else if (!scheduler) {
         streams = fixed_streams;  // always on, demand or not
-      } else if (scheduler->schedule().total_scheduled() == 0) {
-        // Idle early-out: advancing an empty schedule transmits nothing
-        // and leaves the (relative) schedule state empty, so skip the
-        // ring rotation — and the VOD_AUDIT deep audit — entirely. Deep
-        // in a Zipf tail this is the common case.
-        streams = 0;
-        ++idle_slots;
       } else {
+        // Deep in a Zipf tail most steps find the schedule empty; such a
+        // step only moves the scheduler's clock (O(1)), so the scheduler
+        // runs on the engine's slots.
+        if (scheduler->schedule().total_scheduled() == 0) ++idle_slots;
         streams = static_cast<int>(scheduler->advance_slot_view().size());
       }
 
@@ -208,14 +205,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       if (adaptive) adaptive->on_slot_arrivals(batch);
       if (batch > 0) {
         if (scheduler) {
-          if (qoe != nullptr) {
-            // The scheduler's clock lags the global step by the idle slots
-            // the early-out skipped; translate its local plan slots back.
-            qoe->set_slot_offset(static_cast<int64_t>(step) -
-                                 scheduler->current_slot());
-          }
           scheduler->on_request_batch_discard(batch);
-          if (qoe != nullptr) qoe->set_slot_offset(0);
         } else if (qoe != nullptr && !adaptive) {
           // Always-on NPB: stream 1 carries segment 1 every slot
           // (period_of(1) == 1), so playback starts exactly one slot after

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "obs/trace.h"
 #include "schedule/client_plan.h"
 #include "util/check.h"
 
@@ -13,6 +14,8 @@ VodServer::VodServer(const DhbConfig& config) : scheduler_(config) {}
 std::vector<ServerTransmission> VodServer::advance_slot() {
   VOD_DCHECK_SERIAL(serial_);
   const std::span<const Segment> segments = scheduler_.advance_slot_view();
+  VOD_TRACE_COUNTER("streams", "dhb", scheduler_.current_slot(),
+                    segments.size());
 
   // Channel assignment is per slot: instances occupy a channel for exactly
   // one slot, so the lowest channels are handed out in scheduling order.

@@ -92,11 +92,11 @@ TEST(AdaptiveVideo, ClientArrivingAtSwitchSlotIsAdmittedByTheNewMode) {
   EXPECT_EQ(av.mode(), ServingMode::kStatic);
 }
 
-TEST(AdaptiveVideo, DynamicScheduleDrainsThenSchedulerRetires) {
+TEST(AdaptiveVideo, DynamicScheduleDrainsAfterSwitchToStatic) {
   const int n = 9;
   AdaptiveVideo av(config_for(n), &mapping_for(n));
   for (int i = 0; i < 5; ++i) step(&av, 1, ServingMode::kDhb);
-  const uint64_t admitted = av.scheduler()->total_requests();
+  const uint64_t admitted = av.scheduler().total_requests();
   EXPECT_EQ(admitted, 5u);
 
   step(&av, 0, ServingMode::kStatic);  // pend the switch
@@ -105,14 +105,34 @@ TEST(AdaptiveVideo, DynamicScheduleDrainsThenSchedulerRetires) {
   EXPECT_TRUE(av.migrating());  // committed instances still playing out
 
   for (int i = 0; i < n + 1; ++i) step(&av, 0, ServingMode::kStatic);
-  EXPECT_EQ(av.scheduler(), nullptr);  // drained and retired
+  EXPECT_EQ(av.scheduler().schedule().total_scheduled(), 0);  // drained
   EXPECT_FALSE(av.migrating());
 
-  // The retired generation's counters survive into the export.
+  // The drained scheduler's counters survive into the export.
   obs::MetricShard out;
   av.export_metrics(&out);
   EXPECT_EQ(out.counter_value("dhb_requests_total"), admitted);
   EXPECT_EQ(out.counter_value("adaptive_switches_total"), 1u);
+}
+
+TEST(AdaptiveVideo, SchedulerClockIsTheVideoClock) {
+  // One scheduler serves the video for life and is stepped on every slot,
+  // idle and static ones included, so its clock never lags the video's —
+  // across drains, a static spell and both placement rules.
+  const int n = 20;
+  TransitionAuditor auditor;
+  AdaptiveVideo av(config_for(n), &mapping_for(n), &auditor);
+  const std::vector<ServingMode> script = {
+      ServingMode::kDhb, ServingMode::kStatic, ServingMode::kReactive,
+      ServingMode::kDhb};
+  for (ServingMode phase : script) {
+    for (int i = 0; i < 3 * n; ++i) {
+      step(&av, i % 25 == 0 ? 1 : 0, phase);  // sparse: schedules drain
+      ASSERT_EQ(av.scheduler().current_slot(), av.now());
+    }
+  }
+  EXPECT_EQ(av.switches(), 3u);
+  EXPECT_TRUE(auditor.report().ok()) << auditor.report().to_string();
 }
 
 TEST(AdaptiveVideo, StaticStreamsDrainProgressivelyAfterSwitchDown) {

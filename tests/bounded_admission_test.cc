@@ -5,6 +5,7 @@
 #include "analysis/schedule_auditor.h"
 #include "core/dhb.h"
 #include "core/dhb_simulator.h"
+#include "obs/qoe.h"
 #include "protocols/npb.h"
 #include "sim/random.h"
 
@@ -190,6 +191,30 @@ TEST(BoundedSimulation, SubHarmonicCapSelfBatchesGracefully) {
   EXPECT_LE(r.max_extra_wait_slots, 10);     // ...but never long
   EXPECT_LE(r.max_streams, 5.0);
   EXPECT_GT(r.avg_streams, 4.0);
+}
+
+TEST(BoundedSimulation, QoeWaitCountsTheDeferral) {
+  // A request admitted k slots after it arrived receives S_1 k + 1 slots
+  // after its arrival slot, so with no warm-up the recorded waits sum to
+  // requests x (1 + avg_extra_wait_slots).
+  BoundedSimConfig sim = bounded_sim(600.0, 5);
+  sim.base.warmup_hours = 0.0;
+  sim.base.measured_hours = 40.0;
+  obs::QoeShard qoe;
+  obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+  BoundedSimResult r;
+  {
+    obs::ScopedObsSink scoped(&sink);
+    r = run_bounded_dhb_simulation(DhbConfig{}, sim);
+  }
+  ASSERT_GT(r.deferred, 0u);
+#ifndef VOD_OBSERVE_DISABLED
+  ASSERT_EQ(qoe.total_requests(), r.requests);
+  double wait_sum = 0.0;
+  for (const auto& [key, group] : qoe.groups()) wait_sum += group.wait.sum();
+  EXPECT_DOUBLE_EQ(wait_sum, static_cast<double>(r.requests) *
+                                 (1.0 + r.avg_extra_wait_slots));
+#endif
 }
 
 }  // namespace

@@ -97,6 +97,79 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// An empty step is translation-invariant: stepping through idle slots only
+// moves the clock. One scheduler is stepped on every slot; its twin only
+// while its schedule is non-empty, as a caller that skipped idle slots
+// would, so the twin's clock lags by the slots it skipped, and every plan
+// and transmission must match the stepped scheduler's shifted by exactly
+// that lag. Sparse bursts drain the schedule between them, and the lag moves
+// the twin's ring positions off the stepped scheduler's, so the placement
+// paths also run across different ring wraps.
+class DhbEmptyStepTest
+    : public ::testing::TestWithParam<std::tuple<SlotHeuristic, bool>> {};
+
+TEST_P(DhbEmptyStepTest, EmptyStepsAreTranslationInvariant) {
+  const auto [heuristic, use_index] = GetParam();
+  DhbConfig c;
+  c.num_segments = 30;
+  c.heuristic = heuristic;
+  c.use_placement_index = use_index;
+  c.placement_index_cutover = 0;  // the index, when on, always engages
+  DhbScheduler stepped(c);
+  DhbScheduler twin(c);
+  Rng rng(11 + static_cast<uint64_t>(heuristic) * 2 + (use_index ? 1 : 0));
+
+  Slot skipped = 0;
+  uint64_t requests = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::span<const Segment> view = stepped.advance_slot_view();
+    const std::vector<Segment> sent(view.begin(), view.end());
+    if (twin.schedule().total_scheduled() > 0) {
+      const std::span<const Segment> twin_sent = twin.advance_slot_view();
+      ASSERT_TRUE(std::equal(sent.begin(), sent.end(), twin_sent.begin(),
+                             twin_sent.end()))
+          << "slot " << stepped.current_slot();
+    } else {
+      ASSERT_TRUE(sent.empty()) << "slot " << stepped.current_slot();
+      ++skipped;
+    }
+    ASSERT_EQ(stepped.current_slot() - twin.current_slot(), skipped);
+
+    const uint64_t burst = rng.uniform() < 0.02 ? 1 + rng.poisson(3.0) : 0;
+    for (uint64_t k = 0; k < burst; ++k, ++requests) {
+      const DhbRequestResult a = stepped.on_request();
+      const DhbRequestResult b = twin.on_request();
+      ASSERT_EQ(a.plan.arrival_slot - b.plan.arrival_slot, skipped);
+      ASSERT_EQ(a.plan.reception_slot.size(), b.plan.reception_slot.size());
+      for (size_t j = 0; j < a.plan.reception_slot.size(); ++j) {
+        ASSERT_EQ(a.plan.reception_slot[j] - b.plan.reception_slot[j],
+                  skipped)
+            << "S" << j + 1 << " at slot " << stepped.current_slot();
+      }
+      ASSERT_EQ(a.new_instances, b.new_instances);
+    }
+  }
+  EXPECT_GT(skipped, 1000);  // the twin really did skip idle spans
+  EXPECT_GT(requests, 100u);
+  EXPECT_EQ(stepped.total_work_units(), twin.total_work_units());
+  EXPECT_EQ(stepped.total_new_instances(), twin.total_new_instances());
+  EXPECT_EQ(stepped.total_coalesced_requests(),
+            twin.total_coalesced_requests());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placement, DhbEmptyStepTest,
+    ::testing::Combine(::testing::Values(SlotHeuristic::kMinLoadLatest,
+                                         SlotHeuristic::kLatest),
+                       ::testing::Bool()),
+    [](const auto& param_info) {
+      std::string name = to_string(std::get<0>(param_info.param)) +
+                         (std::get<1>(param_info.param) ? "_index"
+                                                        : "_scan");
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
 class DhbCappedPropertyTest : public ::testing::TestWithParam<int> {};
 
 // The capped variant must still meet every deadline, and whenever it

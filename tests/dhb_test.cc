@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <span>
 
+#include "obs/metrics.h"
+
 namespace vod {
 namespace {
 
@@ -208,7 +210,9 @@ TEST(Dhb, CapViolationsReportedWhenImpossible) {
   EXPECT_GT(r.cap_violations, 0);
   EXPECT_TRUE(verify_plan(r.plan, c.periods).deadlines_met);
   // The exported counter carries the same count.
-  EXPECT_EQ(s.metrics().counter_value("dhb_cap_violation_slots_total"),
+  obs::MetricShard m;
+  s.export_metrics(&m);
+  EXPECT_EQ(m.counter_value("dhb_cap_violation_slots_total"),
             static_cast<uint64_t>(r.cap_violations));
 }
 

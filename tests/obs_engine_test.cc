@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "obs/trace.h"
 #include "server/multi_video.h"
+#include "sim/arrival_process.h"
+#include "sim/random.h"
 
 namespace vod {
 namespace {
@@ -105,6 +109,54 @@ TEST(EngineObservability, PerShardTracesLandOnOwnTracks) {
       EXPECT_EQ(e.track, static_cast<uint32_t>(s));
     }
   }
+#endif
+}
+
+TEST(EngineObservability, AdmissionInstantsCarryEngineSlots) {
+  // A scheduler is stepped on every engine slot, idle ones included, so
+  // each admission instant carries the engine slot its arrivals fell in.
+  // A 1-video catalog at 2 req/h is idle between almost every pair of
+  // arrivals.
+  obs::EngineObserver observer;
+  MultiVideoConfig config;
+  config.catalog_size = 1;
+  config.total_requests_per_hour = 2.0;
+  config.warmup_hours = 0.0;
+  config.measured_hours = 100.0;
+  config.seed = 7;
+  config.observer = &observer;
+  const MultiVideoResult result = run_multi_video_simulation(config);
+
+  // The same arrivals, drawn independently: video 0 uses substream
+  // fork(1), and slot k takes the arrivals before k * d.
+  PoissonProcess arrivals(per_hour(config.total_requests_per_hour),
+                          Rng(config.seed).fork(1));
+  std::set<int64_t> arrival_slots;
+  uint64_t drawn = 0;
+  double next = arrivals.next();
+  for (uint64_t step = 1; step <= result.measured_slots; ++step) {
+    const double slot_end = static_cast<double>(step) * config.slot_duration_s;
+    for (; next < slot_end; next = arrivals.next(), ++drawn) {
+      arrival_slots.insert(static_cast<int64_t>(step));
+    }
+  }
+  ASSERT_EQ(drawn, result.requests);
+  ASSERT_GT(arrival_slots.size(), 100u);
+#ifndef VOD_OBSERVE_DISABLED
+  const std::vector<const obs::TraceBuffer*> buffers =
+      observer.trace_buffers();
+  ASSERT_EQ(buffers.size(), 1u);
+  ASSERT_EQ(buffers[0]->dropped(), 0u);
+  std::set<int64_t> admission_slots;
+  for (const obs::TraceEvent& e : buffers[0]->snapshot()) {
+    const std::string name = e.name;
+    if (name == "admission/placed" || name == "admission/shared") {
+      admission_slots.insert(e.ts);
+    }
+    // Per-video counter samples would share one Chrome counter track.
+    EXPECT_NE(e.phase, obs::TracePhase::kCounter) << name;
+  }
+  EXPECT_EQ(admission_slots, arrival_slots);
 #endif
 }
 

@@ -201,21 +201,6 @@ TEST(QoeShard, RecordsAdmissionsIntoContextGroup) {
   EXPECT_EQ(samples[1].segments, 5u);
 }
 
-TEST(QoeShard, SlotOffsetTranslatesLocalClocks) {
-  // AdaptiveVideo's drained-and-restarted scheduler runs a local clock;
-  // the offset maps its arrival slots back into engine slots.
-  QoeShard q;
-  q.set_context(0, 1);
-  q.set_slot_offset(100);
-  q.record_admission(1, /*arrival_slot=*/7, 0.0, 0, 1);
-  q.set_slot_offset(0);
-  q.record_admission(1, 8, 0.0, 0, 1);
-  const std::vector<QoeSample> samples = q.recent_samples();
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].slot, 107);
-  EXPECT_EQ(samples[1].slot, 8);
-}
-
 TEST(QoeShard, SampleRingKeepsLastN) {
   QoeOptions opt;
   opt.sample_ring_capacity = 4;
