@@ -17,8 +17,11 @@ namespace {
 // plus, when an instance is actually placed, one commit unit:
 //   index mode: query = 1 (range-min lookup), commit = 1  -> 2 per instance
 //   naive mode: query = window width,         commit = 1
-// Rejected bounded attempts pay their queries but no commit. The pricing
-// guarantees the auditor's conservation law
+// Rejected bounded attempts pay their queries but no commit. An admission
+// replayed from the recorded empty-schedule plan places every segment and
+// pays the index-mode price in both modes: share probe + query + commit =
+// 3 per segment, i.e. 3n >= 1 + 2n. The pricing guarantees the auditor's
+// conservation law
 //   work_units >= requests + 2 * new_instances + rejected
 // on every path in both modes (each admitted request makes >= 1 sharing
 // check; each placement costs >= 2; each rejection pays >= 1 query).
@@ -86,7 +89,7 @@ DhbScheduler::DhbScheduler(const DhbConfig& config)
                                    [](uint64_t acc, int t) {
                                      return acc + static_cast<uint64_t>(t);
                                    })),
-      schedule_(config.num_segments, window_),
+      schedule_(config.num_segments, window_, use_index_),
       rng_(config.heuristic_seed) {
   VOD_CHECK(config.client_stream_cap >= 0);
   // Pre-size the reusable plan storage: steady-state admissions then run
@@ -231,6 +234,16 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
   const int cap = config_.client_stream_cap;
   const bool fast = use_index_;
   if (first_segment != 1) had_clamped_admissions_ = true;
+  // A full uncapped admission into an empty schedule under a deterministic
+  // rule: replay the recorded plan, or run the loop and record it.
+  const bool empty_full = cap == 0 && first_segment == 1 &&
+                          last_segment == config_.num_segments &&
+                          config_.heuristic != SlotHeuristic::kRandom &&
+                          schedule_.total_scheduled() == 0;
+  if (empty_full && !empty_plan_.empty()) {
+    replay_empty_plan(qoe_count);
+    return;
+  }
 
   DhbRequestResult& result = result_scratch_;
   result.new_instances = 0;
@@ -354,8 +367,39 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
 
   if (cap > 0 && fast) schedule_.clear_load_overlay();
   scratch_.rewind(scratch_mark);
+  if (empty_full) record_empty_plan();
   record_admission_qoe(qoe_count, result);
   finish_admission(result, "first", first_segment);
+}
+
+// Both out of line, so that the inlined admission loop stays compact.
+[[gnu::noinline]] void DhbScheduler::record_empty_plan() {
+  const ClientPlan& plan = result_scratch_.plan;
+  empty_plan_.resize(plan.reception_slot.size());
+  for (size_t k = 0; k < empty_plan_.size(); ++k) {
+    empty_plan_[k] = plan.reception_slot[k] - plan.arrival_slot;
+  }
+}
+
+[[gnu::noinline]] void DhbScheduler::replay_empty_plan(uint64_t qoe_count) {
+  const Slot arrival = schedule_.now();
+  const size_t n = empty_plan_.size();
+  DhbRequestResult& result = result_scratch_;
+  result.new_instances = static_cast<int>(n);
+  result.shared_instances = 0;
+  result.cap_violations = 0;
+  result.plan.arrival_slot = arrival;
+  result.plan.reception_slot.resize(n);
+  // Same segment order as the loop, so the ring rows fill identically.
+  for (size_t k = 0; k < n; ++k) {
+    const Slot slot = arrival + empty_plan_[k];
+    schedule_.add_instance(static_cast<Segment>(k + 1), slot);
+    result.plan.reception_slot[k] = slot;
+  }
+  probes_ += sum_periods_;
+  work_ += n * (kWorkShareProbe + kWorkIndexQuery + kWorkCommit);
+  record_admission_qoe(qoe_count, result);
+  finish_admission(result, "first", 1);
 }
 
 void DhbScheduler::finish_admission(const DhbRequestResult& result,
@@ -484,8 +528,10 @@ void DhbScheduler::set_heuristic(SlotHeuristic heuristic) {
   // The coalescing memo caches a plan whose placements ran under the old
   // rule; the first admission after the switch must re-admit (it still
   // shares every in-window instance — sharing precedes placement — but the
-  // counters and any fresh placements must reflect the new rule).
+  // counters and any fresh placements must reflect the new rule). The
+  // empty-schedule plan was placed by the old rule too.
   memo_valid_ = false;
+  empty_plan_.clear();
   VOD_TRACE_INSTANT("heuristic/switch", "dhb", schedule_.now(),
                     {"heuristic", static_cast<int>(heuristic)});
 }

@@ -20,14 +20,22 @@
 // paper: a request examines O(sum_j T[j]) window slots (total_slot_probes()
 // keeps charging exactly that, for comparability across experiments). The
 // *actual* cost rides the schedule's placement fast path: each sharing
-// check is O(1) via the latest-instance cache and each fresh placement is
+// check is O(1) via the latest-instance cache and, above the index cutover
+// (DhbConfig::placement_index_cutover), each fresh placement is
 // O(log window) via the range-min index, so an admission runs in
 // O(n log window) instead of O(n·window) = O(n²) — and requests coalesced
 // into the same slot cost O(1) each (see DhbConfig::coalesce_same_slot).
-// total_work_units() meters the actual data-structure operations. Every
-// fast path is bit-identical to the naive Figure 6 scans (the differential
-// fuzzer compares them decision by decision); set
-// DhbConfig::use_placement_index = false to run the naive scans instead.
+// Below the cutover the schedule keeps no index and placements run the
+// naive scans. A full admission into an empty schedule sees only its own
+// placements, so under a deterministic heuristic its plan is one fixed
+// offset vector shifted by the arrival slot: the scheduler records the
+// offsets of its first such admission and commits every later one from
+// that record in O(n) (uncapped clients, full requests, any heuristic but
+// kRandom; set_heuristic() drops the record). total_work_units() meters
+// the actual data-structure operations. Every fast path is bit-identical
+// to the naive Figure 6 scans (the differential fuzzer compares them
+// decision by decision); set DhbConfig::use_placement_index = false to run
+// the naive scans instead.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +73,8 @@ struct DhbConfig {
   uint64_t heuristic_seed = 1;
   // Answer min-load placements through the O(log W) range-min index (true)
   // or the literal O(W) Figure 6 scan (false). Same decisions either way;
-  // the naive mode exists as the differential-testing oracle.
+  // the naive mode exists as the differential-testing oracle. The schedule
+  // builds its index only when it is used (placement_index_active()).
   bool use_placement_index = true;
   // Memoize the current-slot full-request plan: under uncapped DHB every
   // further full request arriving in the same slot shares every segment and
@@ -82,7 +91,8 @@ struct DhbConfig {
   // scan near n*window ~ 2.5e4 at sparse arrivals and ~6e4 at dense ones,
   // where coalescing absorbs most placements anyway — so the default picks
   // the low-rate knee, rounded to a power of two. 0 disables the cutover
-  // (the index always engages — the differential-testing mode).
+  // (the index always engages — the differential-testing mode). Below the
+  // threshold the schedule neither allocates nor maintains an index.
   // Decisions are bit-identical on both sides of the threshold; only
   // total_work_units() accounting differs (naive queries charge the window
   // width).
@@ -159,14 +169,16 @@ class DhbScheduler {
   // Switches the slot-choice rule live, mid-schedule — the reactive⇄DHB leg
   // of an adaptive protocol transition (server/adaptive_video.h). Committed
   // instances are never moved (the §3 never-cancel rule), so only future
-  // placements change; the same-slot coalescing memo is invalidated because
-  // its cached plan was computed under the old rule, and the call refuses to
-  // run while a transient load overlay is live (bounded admissions must
-  // fully unwind first). The latest-instance cache and the range-min index
-  // describe schedule *contents*, which this call does not touch — the
-  // placement audit (kPlacementIndexMismatch) stays green across a switch,
-  // and tests/adaptive_video_test.cc cross-checks fast ≡ naive placement on
-  // the admissions immediately after one. No-op when the rule is unchanged.
+  // placements change; the same-slot coalescing memo and the recorded
+  // empty-schedule plan are dropped because both were computed under the
+  // old rule, and the call refuses to run while a transient load overlay
+  // is live (bounded admissions must fully unwind first). The
+  // latest-instance cache and the range-min index (when the schedule keeps
+  // one) describe schedule *contents*, which this call does not touch —
+  // the placement audit (kPlacementIndexMismatch) stays green across a
+  // switch, and tests/adaptive_video_test.cc cross-checks fast ≡ naive
+  // placement on the admissions immediately after one. No-op when the rule
+  // is unchanged.
   void set_heuristic(SlotHeuristic heuristic);
 
   Slot current_slot() const { return schedule_.now(); }
@@ -180,8 +192,9 @@ class DhbScheduler {
   // True when admissions run through the range-min placement index: the
   // config asks for it AND the video clears the adaptive cutover
   // (num_segments * window >= placement_index_cutover). Fixed at
-  // construction; exposed so benches and tests can assert which side of
-  // the cutover a configuration landed on.
+  // construction, and exactly when the schedule keeps an index; exposed so
+  // benches and tests can assert which side of the cutover a configuration
+  // landed on.
   bool placement_index_active() const { return use_index_; }
 
   // True once any clamped-window admission (a mid-video on_range) has
@@ -206,8 +219,10 @@ class DhbScheduler {
   // slot probes above: 1 per sharing check, plus a placement-attempt charge
   // of query + commit (index mode: 1 + 1; naive mode: window-width + 1,
   // the commit charged only when an instance is placed), plus 1 per
-  // coalesced follower (the memo copy). ScheduleAuditor asserts the
-  // conservation law
+  // coalesced follower (the memo copy). An admission replayed from the
+  // recorded empty-schedule plan is charged the index-mode price in either
+  // mode: 3 per segment (share check + query + commit). ScheduleAuditor
+  // asserts the conservation law
   //   work_units >= requests + 2 * new_instances + rejected.
   uint64_t total_work_units() const { return work_; }
 
@@ -253,6 +268,12 @@ class DhbScheduler {
   // record per batch instead of one per request.
   void admit(Segment first_segment, Segment last_segment, uint64_t qoe_count);
 
+  // Fills empty_plan_ from the plan admit() just wrote into
+  // result_scratch_; and admit(1, n, qoe_count) into an empty schedule,
+  // committed from empty_plan_ in O(n) instead of running the loop.
+  void record_empty_plan();
+  void replay_empty_plan(uint64_t qoe_count);
+
   // End of every admission that reached the schedule (admit() and a
   // successful on_request_bounded()): the lifetime counters and the
   // placed/shared trace event, whose third argument is the entry point's
@@ -294,6 +315,14 @@ class DhbScheduler {
   // by any admission that may mutate the schedule under different windows.
   bool memo_valid_ = false;
   DhbRequestResult memo_result_;
+
+  // Empty-schedule plan: reception slot minus arrival slot, per segment, of
+  // this scheduler's first full uncapped admission into an empty schedule
+  // under the current (deterministic) heuristic; empty until one has run.
+  // Such an admission sees no load but its own placements, so every later
+  // one places the same offsets (replay_empty_plan()). Filled from this
+  // scheduler's own history only; set_heuristic() drops it.
+  std::vector<Slot> empty_plan_;
 
   // Reusable admission result; admit() writes here and the public entry
   // points copy out when their signature returns by value (the discard

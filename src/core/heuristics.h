@@ -33,10 +33,11 @@ std::string to_string(SlotHeuristic h);
 // consulted by kRandom and may be null for the deterministic rules.
 //
 // The min-load rules answer through the schedule's O(log window) range-min
-// placement index by default; `use_index = false` forces the literal O(W)
-// Figure 6 scan instead. Both return the same slot for every input — the
-// naive scan is kept as the differential oracle (and for callers that must
-// ignore a live load overlay, which only the index sees).
+// placement index by default (the schedule must keep one); `use_index =
+// false` forces the literal O(W) Figure 6 scan instead. Both return the
+// same slot for every input — the naive scan is kept as the differential
+// oracle, serves schedules without an index, and serves callers that must
+// ignore a live load overlay, which only the index sees.
 Slot choose_slot(SlotHeuristic h, const SlotSchedule& schedule, Slot lo,
                  Slot hi, Rng* rng, bool use_index = true);
 

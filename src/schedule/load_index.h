@@ -32,8 +32,6 @@ class LoadIndex {
 
   explicit LoadIndex(size_t ring_size);
 
-  size_t ring_size() const { return ring_size_; }
-
   // Adds `delta` to the value at ring position `pos` (pos < ring_size).
   void add(size_t pos, int delta);
 

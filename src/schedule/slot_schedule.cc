@@ -39,17 +39,17 @@ size_t initial_arena_bytes(int num_segments, int window) {
 
 }  // namespace
 
-SlotSchedule::SlotSchedule(int num_segments, int window)
+SlotSchedule::SlotSchedule(int num_segments, int window, bool placement_index)
     : num_segments_(num_segments),
       window_(window),
       arena_(initial_arena_bytes(num_segments, window)),
       ring_size_(ring_pow2(window)),
       ring_mask_(ring_size_ - 1),
       contents_cap_(kInitialContentsCap),
-      seg_cap_(kInitialSegCap),
-      index_(ring_size_) {
+      seg_cap_(kInitialSegCap) {
   VOD_CHECK(num_segments >= 1);
   VOD_CHECK(window >= 1);
+  if (placement_index) index_.emplace(ring_size_);
   const size_t segs = static_cast<size_t>(num_segments) + 1;
   loads_ = arena_.alloc_array<int>(ring_size_);
   contents_slab_ = arena_.alloc_array<Segment>(ring_size_ * contents_cap_);
@@ -148,7 +148,7 @@ void SlotSchedule::add_instance(Segment j, Slot s) {
   ++loads_[pos];
   ++total_;
   ++instances_added_;
-  index_.add(pos, 1);
+  if (index_) index_->add(pos, 1);
 
   if (static_cast<size_t>(contents_len_[pos]) == contents_cap_) {
     grow_contents();
@@ -171,7 +171,7 @@ std::span<const Segment> SlotSchedule::vacate_current_row() {
   const int len = contents_len_[pos];
   contents_len_[pos] = 0;
   total_ -= loads_[pos];
-  if (loads_[pos] != 0) index_.add(pos, -loads_[pos]);
+  if (index_ && loads_[pos] != 0) index_->add(pos, -loads_[pos]);
   loads_[pos] = 0;
   for (int i = 0; i < len; ++i) {
     const size_t sj = static_cast<size_t>(row[i]);
@@ -189,18 +189,19 @@ std::span<const Segment> SlotSchedule::vacate_current_row() {
 
 SlotSchedule::MinLoad SlotSchedule::min_load_latest(Slot lo, Slot hi) const {
   VOD_DCHECK(lo > now_ && lo <= hi && hi <= now_ + window_);
+  VOD_CHECK_MSG(index_, "placement query on a schedule without an index");
+  const LoadIndex& index = *index_;
   const size_t a = ring_index(lo);
   const size_t b = ring_index(hi);
   if (a <= b) {
-    const LoadIndex::MinResult r = index_.min_latest(a, b);
+    const LoadIndex::MinResult r = index.min_latest(a, b);
     return MinLoad{lo + static_cast<Slot>(r.pos - a), r.load};
   }
   // The window wraps the ring once: [lo..] maps to [a, size) ("early" slots)
   // and [..hi] maps to [0, b] ("late" slots). On a load tie the late part
   // wins — its slots are all later than every early slot.
-  const LoadIndex::MinResult early =
-      index_.min_latest(a, index_.ring_size() - 1);
-  const LoadIndex::MinResult late = index_.min_latest(0, b);
+  const LoadIndex::MinResult early = index.min_latest(a, ring_size_ - 1);
+  const LoadIndex::MinResult late = index.min_latest(0, b);
   if (late.load <= early.load) {
     return MinLoad{hi - static_cast<Slot>(b - late.pos), late.load};
   }
@@ -209,15 +210,16 @@ SlotSchedule::MinLoad SlotSchedule::min_load_latest(Slot lo, Slot hi) const {
 
 SlotSchedule::MinLoad SlotSchedule::min_load_earliest(Slot lo, Slot hi) const {
   VOD_DCHECK(lo > now_ && lo <= hi && hi <= now_ + window_);
+  VOD_CHECK_MSG(index_, "placement query on a schedule without an index");
+  const LoadIndex& index = *index_;
   const size_t a = ring_index(lo);
   const size_t b = ring_index(hi);
   if (a <= b) {
-    const LoadIndex::MinResult r = index_.min_earliest(a, b);
+    const LoadIndex::MinResult r = index.min_earliest(a, b);
     return MinLoad{lo + static_cast<Slot>(r.pos - a), r.load};
   }
-  const LoadIndex::MinResult early =
-      index_.min_earliest(a, index_.ring_size() - 1);
-  const LoadIndex::MinResult late = index_.min_earliest(0, b);
+  const LoadIndex::MinResult early = index.min_earliest(a, ring_size_ - 1);
+  const LoadIndex::MinResult late = index.min_earliest(0, b);
   if (early.load <= late.load) {
     return MinLoad{lo + static_cast<Slot>(early.pos - a), early.load};
   }
@@ -296,14 +298,16 @@ SlotSchedule::MinLoad SlotSchedule::scan_min_load_earliest(Slot lo,
 
 void SlotSchedule::add_load_overlay(Slot s, int delta) {
   VOD_DCHECK(s > now_ && s <= now_ + window_);
+  VOD_CHECK_MSG(index_, "load overlay on a schedule without an index");
   const size_t pos = ring_index(s);
-  index_.add(pos, delta);
+  index_->add(pos, delta);
   overlay_.emplace_back(pos, delta);
   ++overlay_ops_;
 }
 
 void SlotSchedule::clear_load_overlay() {
-  for (const auto& [pos, delta] : overlay_) index_.add(pos, -delta);
+  VOD_CHECK_MSG(index_, "load overlay on a schedule without an index");
+  for (const auto& [pos, delta] : overlay_) index_->add(pos, -delta);
   overlay_.clear();
 }
 

@@ -31,9 +31,13 @@
 // Placement fast path. Beyond the per-slot counters, the schedule keeps
 // two derived structures maintained incrementally by add_instance() /
 // advance():
-//   * a range-min placement index (schedule/load_index.h) over the load
-//     ring, answering min_load_latest() / min_load_earliest() — the
-//     Figure 6 "min load, ties to the latest slot" rule — in O(log W);
+//   * an optional range-min placement index (schedule/load_index.h) over
+//     the load ring, answering min_load_latest() / min_load_earliest() —
+//     the Figure 6 "min load, ties to the latest slot" rule — in
+//     O(log W). It exists only when the schedule is built with
+//     `placement_index` set: DhbScheduler asks for it exactly when its
+//     admissions query it (DhbScheduler::placement_index_active()), so a
+//     video below the index cutover neither allocates nor maintains one;
 //   * an O(1) latest-instance cache per segment (latest_instance()), the
 //     common-case answer to the sharing probe without touching the
 //     per-segment slot rows.
@@ -46,7 +50,7 @@
 // (bounded admission, the client-stream-cap variant) can superimpose
 // transient per-slot deltas on the index only via add_load_overlay(); the
 // overlay never touches the real loads and must be cleared before the
-// clock advances.
+// clock advances. The index queries and the overlay require an index.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +70,9 @@ namespace vod {
 class SlotSchedule {
  public:
   // num_segments: segments are 1..num_segments. window: look-ahead depth.
-  SlotSchedule(int num_segments, int window);
+  // placement_index: build and maintain the range-min placement index
+  // (without it, the index queries and the overlay fail a VOD_CHECK).
+  SlotSchedule(int num_segments, int window, bool placement_index = true);
 
   // Slabs point into the member arena: moving is fine (blocks are stable),
   // copying would alias them.
@@ -131,9 +137,12 @@ class SlotSchedule {
     int load = 0;  // includes any overlay deltas on the winning slot
   };
 
+  // True when the schedule keeps the range-min placement index.
+  bool has_placement_index() const { return index_.has_value(); }
+
   // Slot of minimum load (plus overlay) in [lo, hi], ties broken toward
   // the latest / earliest slot — exactly the linear hi→lo / lo→hi scans of
-  // Figure 6. Requires now < lo <= hi <= now + window.
+  // Figure 6. Requires now < lo <= hi <= now + window and an index.
   MinLoad min_load_latest(Slot lo, Slot hi) const;
   MinLoad min_load_earliest(Slot lo, Slot hi) const;
 
@@ -153,10 +162,12 @@ class SlotSchedule {
   // Adds a transient per-slot delta to the placement index only: the real
   // load counters, ring, and per-segment index are untouched. Used for the
   // tentative placements of a transactional (bounded) admission and for
-  // masking client-saturated slots in the capped variant.
+  // masking client-saturated slots in the capped variant. Requires an
+  // index.
   void add_load_overlay(Slot s, int delta);
 
   // Removes every overlay delta, restoring the index to the real loads.
+  // Requires an index.
   void clear_load_overlay();
 
   bool has_load_overlay() const { return !overlay_.empty(); }
@@ -164,11 +175,16 @@ class SlotSchedule {
   // --- Lifetime operation accounting (observability) -------------------
   // Raw structural-op counts the scheduler exports as schedule_* metrics
   // (the clock, now(), counts the advances). Monotone over the schedule's
-  // lifetime; never read on a decision path.
+  // lifetime; never read on a decision path. The index counters read 0 on
+  // a schedule without an index.
   uint64_t total_instances_added() const { return instances_added_; }
   uint64_t total_overlay_ops() const { return overlay_ops_; }
-  uint64_t total_index_queries() const { return index_.total_queries(); }
-  uint64_t total_index_updates() const { return index_.total_updates(); }
+  uint64_t total_index_queries() const {
+    return index_ ? index_->total_queries() : 0;
+  }
+  uint64_t total_index_updates() const {
+    return index_ ? index_->total_updates() : 0;
+  }
   // Slab re-layouts (row capacity doublings) since construction, and the
   // arena's system-block count: both must be flat across a steady-state
   // slot (tests/alloc_audit_test.cc).
@@ -235,7 +251,7 @@ class SlotSchedule {
   size_t seg_cap_;            // per-segment row stride
   Slot* latest_ = nullptr;    // [num_segments_+1] latest slot, 0 none
 
-  LoadIndex index_;  // range-min over loads_ + overlay
+  std::optional<LoadIndex> index_;  // range-min over loads_ + overlay
   std::vector<std::pair<size_t, int>> overlay_;  // applied (pos, delta) pairs
   uint64_t instances_added_ = 0;                 // lifetime op meters
   uint64_t overlay_ops_ = 0;

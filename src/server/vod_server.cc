@@ -88,7 +88,11 @@ void VodServer::resume(ClientId id) {
 }
 
 void VodServer::stop(ClientId id) {
-  live_session(id).state = SessionState::kStopped;
+  SessionInfo& info = live_session(id);
+  VOD_CHECK_MSG(info.state == SessionState::kWatching ||
+                    info.state == SessionState::kPaused,
+                "only a watching or paused session can stop");
+  info.state = SessionState::kStopped;
 }
 
 const VodServer::SessionInfo& VodServer::session(ClientId id) const {

@@ -11,7 +11,7 @@
 //             share them);
 //   resume()  re-admit the client from its next unwatched segment via the
 //             scheduler's suffix admission on_range(next, n);
-//   stop()    abandon the session.
+//   stop()    abandon a watching or paused session.
 //
 // Every (re-)admission is verified against the playout contract at the
 // moment it happens; `SessionInfo::playout_ok` accumulates the result.
@@ -64,7 +64,8 @@ class VodServer {
   // Admits a new client during the current slot.
   ClientId start();
 
-  // VCR operations; ids must name live sessions.
+  // VCR operations; ids must name live (watching or paused) sessions:
+  // pause() a watching one, resume() a paused one, stop() either.
   void pause(ClientId id);
   void resume(ClientId id);
   void stop(ClientId id);

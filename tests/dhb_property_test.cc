@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/dhb.h"
+#include "naive_oracle.h"
 #include "protocols/harmonic.h"
 #include "sim/random.h"
 
@@ -169,6 +170,79 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// Steps `dhb` until its schedule has drained, then one slot more.
+void drain(DhbScheduler* dhb) {
+  while (dhb->schedule().total_scheduled() > 0) dhb->advance_slot_view();
+  dhb->advance_slot_view();
+}
+
+// The first full admission into an empty schedule runs the Figure 6 loop
+// (below the cutover: a window-wide scan per placement) and records its
+// offsets; the next one is committed from that record at the replay price
+// of 3 work units per segment, places the same offsets, and still charges
+// the logical probes of a full request.
+TEST(DhbEmptyPlan, ReplayIsChargedTheReplayPrice) {
+  DhbConfig c;  // n = 99: 99 * 99 is below the default index cutover
+  DhbScheduler dhb(c);
+  ASSERT_FALSE(dhb.placement_index_active());
+  ASSERT_FALSE(dhb.schedule().has_placement_index());
+  const uint64_t n = 99;
+  const uint64_t sum_periods = n * (n + 1) / 2;
+
+  dhb.advance_slot_view();
+  uint64_t work = dhb.total_work_units();
+  uint64_t probes = dhb.total_slot_probes();
+  const DhbRequestResult first = dhb.on_request();
+  // Per segment: a share check, a scan as wide as the window, a commit.
+  EXPECT_EQ(dhb.total_work_units() - work, 2 * n + sum_periods);
+  EXPECT_EQ(dhb.total_slot_probes() - probes, sum_periods);
+
+  drain(&dhb);
+  work = dhb.total_work_units();
+  probes = dhb.total_slot_probes();
+  const DhbRequestResult second = dhb.on_request();
+  EXPECT_EQ(dhb.total_work_units() - work, 3 * n);
+  EXPECT_EQ(dhb.total_slot_probes() - probes, sum_periods);
+  EXPECT_EQ(second.new_instances, 99);
+  EXPECT_EQ(second.shared_instances, 0);
+  ASSERT_EQ(second.plan.reception_slot.size(), n);
+  for (size_t j = 0; j < n; ++j) {
+    EXPECT_EQ(second.plan.reception_slot[j] - second.plan.arrival_slot,
+              first.plan.reception_slot[j] - first.plan.arrival_slot)
+        << "S" << j + 1;
+  }
+  EXPECT_EQ(dhb.total_requests(), 2u);
+  EXPECT_EQ(dhb.total_new_instances(), 2 * n);
+  EXPECT_EQ(dhb.schedule().total_index_updates(), 0u);
+}
+
+// set_heuristic() drops the recorded plan: after a min-load-latest empty
+// admission and a switch to kEarliest, the next empty admissions place
+// every segment in the first slot, as the naive Figure 6 transcription
+// does under that rule.
+TEST(DhbEmptyPlan, SetHeuristicDropsTheRecordedPlan) {
+  DhbConfig c;
+  c.num_segments = 20;
+  DhbScheduler dhb(c);
+  dhb.advance_slot_view();
+  const DhbRequestResult latest = dhb.on_request();
+  ASSERT_EQ(latest.plan.reception_slot.back(), latest.plan.arrival_slot + 20);
+  drain(&dhb);
+
+  dhb.set_heuristic(SlotHeuristic::kEarliest);
+  for (int round = 0; round < 2; ++round) {
+    NaiveOracle oracle(20, {}, SlotHeuristic::kEarliest);
+    for (Slot now = 0; now < dhb.current_slot(); ++now) oracle.advance();
+    const DhbRequestResult r = dhb.on_request();
+    EXPECT_EQ(r.plan.reception_slot, oracle.admit_range(1, 20))
+        << "round " << round;
+    for (const Slot slot : r.plan.reception_slot) {
+      EXPECT_EQ(slot, r.plan.arrival_slot + 1) << "round " << round;
+    }
+    drain(&dhb);
+  }
+}
 
 class DhbCappedPropertyTest : public ::testing::TestWithParam<int> {};
 

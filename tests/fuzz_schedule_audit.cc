@@ -59,8 +59,12 @@ struct FuzzConfig {
   bool diff_oracle = true;    // false for kRandom / capped configs
 };
 
-// Runs one fuzzed trace; adds every audited step to *audited.
-void run_fuzz(const FuzzConfig& fc, uint64_t* audited) {
+// Runs one fuzzed trace; adds every audited step to *audited and, when
+// `empty_replays` is set, counts the full uncapped admissions that enter an
+// empty schedule after the scheduler's first such one — the admissions
+// DhbScheduler commits from its recorded empty-schedule plan.
+void run_fuzz(const FuzzConfig& fc, uint64_t* audited,
+              uint64_t* empty_replays = nullptr) {
   DhbConfig config;
   config.num_segments = fc.num_segments;
   config.periods = fc.periods;
@@ -73,6 +77,7 @@ void run_fuzz(const FuzzConfig& fc, uint64_t* audited) {
       AuditOptions{.allow_multiple_instances = duplicates_legal});
   auditor.attach(dhb);
   Rng rng(fc.seed);
+  bool seen_empty_full = false;
 
   const auto audit_now = [&]() {
     const AuditReport report = auditor.audit(dhb);
@@ -128,6 +133,12 @@ void run_fuzz(const FuzzConfig& fc, uint64_t* audited) {
           auditor.track_plan(got->plan, 1, range_periods(dhb, 1, last));
         }
       } else {
+        if (empty_replays != nullptr && fc.client_stream_cap == 0 &&
+            first == 1 && last == fc.num_segments &&
+            dhb.schedule().total_scheduled() == 0) {
+          if (seen_empty_full) ++*empty_replays;
+          seen_empty_full = true;
+        }
         const DhbRequestResult got = dhb.on_range(first, last);
         if (fc.client_stream_cap == 0) {
           ASSERT_EQ(got.cap_violations, 0);
@@ -187,11 +198,13 @@ void run_mode_diff(const FuzzConfig& fc, uint64_t* checked) {
   Rng probe_rng(fc.seed * 31 + 11);
 
   // Slab-layout probe: with no overlay live, the batched raw-ring scans
-  // must reproduce the indexed range-min bit for bit on both schedulers —
-  // the O(width) naive reference path and the O(log W) index are two
-  // readers of the same flat slabs.
+  // must reproduce the indexed range-min bit for bit on every scheduler
+  // whose schedule keeps an index (the fast side: cutover 0) — the
+  // O(width) naive reference path and the O(log W) index are two readers
+  // of the same flat slabs.
   const auto probe_slabs = [&](const DhbScheduler& d) {
     const SlotSchedule& sched = d.schedule();
+    if (!sched.has_placement_index()) return;
     const Slot now = sched.now();
     const auto w = static_cast<uint64_t>(sched.window());
     for (int probe = 0; probe < 3; ++probe) {
@@ -334,6 +347,44 @@ TEST(FuzzScheduleAudit, MixedResumeRangeOpsAgainstOracle) {
     }
   }
   EXPECT_GE(audited, 2500u);
+}
+
+// Sparse arrivals (about one per 20 slots against windows of 8 to 16
+// slots): most admissions find the schedule drained, so after each
+// scheduler's first one they are replayed from its recorded empty-schedule
+// plan. The mixed-ops pass diffs prefix and clamped admissions into an
+// empty schedule too, which must keep running the Figure 6 loop.
+TEST(FuzzScheduleAudit, SparseEmptyScheduleAdmissionsAgainstOracle) {
+  const SlotHeuristic heuristics[] = {
+      SlotHeuristic::kMinLoadLatest, SlotHeuristic::kMinLoadEarliest,
+      SlotHeuristic::kLatest, SlotHeuristic::kEarliest};
+  const std::vector<std::vector<int>> period_vectors = {
+      {}, work_ahead_periods(), tight_periods()};
+  uint64_t audited = 0;
+  uint64_t replays = 0;
+  uint64_t seed = 900;
+  for (SlotHeuristic h : heuristics) {
+    for (const std::vector<int>& periods : period_vectors) {
+      FuzzConfig fc;
+      fc.heuristic = h;
+      fc.periods = periods;
+      fc.arrivals_per_slot = 0.05;
+      fc.seed = ++seed;
+      fc.slots = 2000;
+      run_fuzz(fc, &audited, &replays);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+  FuzzConfig mixed;
+  mixed.periods = work_ahead_periods();
+  mixed.mixed_ops = true;
+  mixed.arrivals_per_slot = 0.05;
+  mixed.seed = ++seed;
+  mixed.slots = 4000;
+  run_fuzz(mixed, &audited, &replays);
+  EXPECT_GE(audited, 25000u);
+  // 881 at the time of writing: the floor proves the replay path is taken.
+  EXPECT_GE(replays, 400u);
 }
 
 TEST(FuzzScheduleAudit, BoundedAdmissionAgainstOracle) {

@@ -118,5 +118,21 @@ TEST(SlotScheduleDeath, RejectsOutOfWindow) {
   EXPECT_DEATH(s.add_instance(6, 2), "");
 }
 
+// A schedule built without the placement index keeps the slabs and the
+// naive scans; the index queries and the overlay refuse to run.
+TEST(SlotScheduleDeath, IndexQueriesNeedAnIndex) {
+  SlotSchedule s(5, 5, /*placement_index=*/false);
+  EXPECT_FALSE(s.has_placement_index());
+  s.add_instance(1, 3);
+  s.advance();
+  s.advance();
+  EXPECT_EQ(s.total_index_updates(), 0u);
+  EXPECT_EQ(s.scan_min_load_latest(3, 6).slot, 6);
+  EXPECT_DEATH(s.min_load_latest(3, 6), "without an index");
+  EXPECT_DEATH(s.min_load_earliest(3, 6), "without an index");
+  EXPECT_DEATH(s.add_load_overlay(4, 1), "without an index");
+  EXPECT_DEATH(s.clear_load_overlay(), "without an index");
+}
+
 }  // namespace
 }  // namespace vod

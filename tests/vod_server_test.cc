@@ -220,6 +220,17 @@ TEST(VodServerDeath, InvalidOperations) {
   EXPECT_DEATH(server.resume(id), "paused");
   server.pause(id);
   EXPECT_DEATH(server.pause(id), "watching");
+  // A session that watched to the end did not abandon: stop() refuses it,
+  // and a stopped session cannot stop again.
+  VodServer short_video(small_config(3));
+  short_video.advance_slot();
+  const auto finished = short_video.start();
+  for (int slot = 0; slot < 4; ++slot) short_video.advance_slot();
+  ASSERT_EQ(short_video.session(finished).state,
+            VodServer::SessionState::kFinished);
+  EXPECT_DEATH(short_video.stop(finished), "watching or paused");
+  server.stop(id);
+  EXPECT_DEATH(server.stop(id), "watching or paused");
 }
 
 }  // namespace
