@@ -8,6 +8,8 @@
 // playout contract is verified, and the channel usage is reported.
 //
 // Build & run:   cmake --build build && ./build/examples/vcr_session
+// Exits non-zero if any client missed a deadline; ctest runs it as
+// vcr_session_example.
 #include <cstdio>
 #include <vector>
 
@@ -83,5 +85,5 @@ int main() {
   std::printf("peak channels      : %d\n", server.peak_channels());
   std::printf("\nEvery client — including every pause/resume — met every "
               "deadline: %s\n", broken == 0 ? "yes" : "NO");
-  return 0;
+  return broken == 0 ? 0 : 1;
 }

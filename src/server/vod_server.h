@@ -16,17 +16,20 @@
 // Every (re-)admission is verified against the playout contract at the
 // moment it happens; `SessionInfo::playout_ok` accumulates the result.
 //
-// Determinism note: sessions live in a std::map, not an unordered_map —
-// advance_slot() and active_sessions() iterate the table, and iteration
-// over a hash map is ordered by hash-table internals, which the
-// determinism linter (scripts/lint_determinism.py) bans in result-
-// affecting code. Session ids are dense sequential integers, so the
-// ordered map costs nothing observable at session counts this server
-// sees, and every walk is id-ordered by construction.
+// Session model: ids are handed out densely from 1, and the sessions live
+// in a vector indexed by id - 1, so every walk over them is id-ordered by
+// construction and no hash-table order can reach a result (the
+// determinism linter, scripts/lint_determinism.py, bans that in result-
+// affecting code). A watching session stores only the segment and slot of
+// its latest (re-)admission; it watches one segment per slot from the next
+// slot on, so session(), pause(), stop() and active_sessions() derive its
+// position, and whether it has finished, from the clock. advance_slot()
+// therefore walks no sessions: its cost does not grow with the number of
+// sessions the server has ever admitted.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <numeric>
 #include <vector>
 
 #include "core/dhb.h"
@@ -57,8 +60,8 @@ class VodServer {
   explicit VodServer(const DhbConfig& config);
 
   // Advances one slot: returns the channel/segment pairs transmitted
-  // during the new current slot and moves every watching session forward
-  // by one segment.
+  // during the new current slot. Every watching session moves forward by
+  // one segment, which session() reads off the clock.
   std::vector<ServerTransmission> advance_slot();
 
   // Admits a new client during the current slot.
@@ -70,21 +73,20 @@ class VodServer {
   void resume(ClientId id);
   void stop(ClientId id);
 
-  const SessionInfo& session(ClientId id) const;
+  // Session `id` as of the current slot, by value: a watching session's
+  // next_segment and kFinished are derived on each call.
+  SessionInfo session(ClientId id) const;
   Slot current_slot() const { return scheduler_.current_slot(); }
   int num_segments() const { return scheduler_.num_segments(); }
 
   // Sessions currently watching or paused.
   int active_sessions() const;
-  // Every session id (any state) in table-iteration order — the order
-  // advance_slot() and active_sessions() walk. The ordered map pins it
-  // ascending-by-id no matter how VCR operations interleave;
-  // tests/vod_server_order_test.cc asserts exactly that, so swapping the
-  // container for an unordered one cannot silently reorder the walks.
+  // Every session id (any state) in table order, which is ascending:
+  // 1..the last id issued, however VCR operations interleave.
+  // tests/vod_server_order_test.cc asserts exactly that.
   std::vector<ClientId> session_ids() const {
-    std::vector<ClientId> ids;
-    ids.reserve(sessions_.size());
-    for (const auto& [id, info] : sessions_) ids.push_back(id);
+    std::vector<ClientId> ids(sessions_.size());
+    std::iota(ids.begin(), ids.end(), ClientId{1});
     return ids;
   }
   // Channels busy during the current slot / the most ever needed at once.
@@ -95,15 +97,14 @@ class VodServer {
   const DhbScheduler& scheduler() const { return scheduler_; }
 
  private:
-  SessionInfo& live_session(ClientId id);
-
   // One thread owns a server (sessions + the underlying scheduler); the
   // VCR entry points assert it in Debug builds (DESIGN.md §11).
   ThreadChecker serial_;
 
   DhbScheduler scheduler_;
-  std::map<ClientId, SessionInfo> sessions_;
-  ClientId next_id_ = 1;
+  // Session id - 1 -> its record. A watching record holds its latest
+  // (re-)admission; every other record holds the session as it is.
+  std::vector<SessionInfo> sessions_;
   int channels_in_use_ = 0;
   int peak_channels_ = 0;
   uint64_t total_transmissions_ = 0;

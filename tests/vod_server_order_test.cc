@@ -1,12 +1,14 @@
 // Session-table iteration order under adversarial VCR interleavings.
 //
 // VodServer's determinism contract (vod_server.h header comment) hangs on
-// the session walk being id-ordered: advance_slot() and active_sessions()
-// iterate sessions_, and if that order ever followed insertion pattern or
-// hash internals, per-session results would vary run to run. These tests
-// drive the table through hostile insertion/removal interleavings and pin
-// the walk to ascending ids — the guard that keeps a future container
-// swap (std::map -> unordered_map) from compiling silently.
+// the session table being id-ordered: session_ids() and active_sessions()
+// walk it, and if that order ever followed insertion pattern or hash
+// internals, per-session results would vary run to run. The table is a
+// vector indexed by the dense session id, so the order holds by
+// construction; these tests drive it through hostile insertion/removal
+// interleavings and pin the walk to ascending ids — the guard that keeps
+// a future container swap (to a hash map, or a table that compacts
+// finished sessions) from reordering the walk silently.
 #include "server/vod_server.h"
 
 #include <gtest/gtest.h>

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "sim/random.h"
 
 namespace vod {
@@ -99,9 +103,13 @@ TEST(VodServer, ResumeAfterFullyWatchedFinishes) {
   for (int k = 0; k < 2; ++k) server.advance_slot();
   // Watched S1, S2; pause just before the end, watch S3 via resume later.
   server.pause(id);
+  EXPECT_EQ(server.session(id).next_segment, 3);  // the last segment, n
   server.resume(id);
+  EXPECT_EQ(server.session(id).state, VodServer::SessionState::kWatching);
+  EXPECT_EQ(server.session(id).resumes, 1);
   for (int k = 0; k < 1; ++k) server.advance_slot();
   EXPECT_EQ(server.session(id).state, VodServer::SessionState::kFinished);
+  EXPECT_EQ(server.session(id).next_segment, 4);
 }
 
 TEST(VodServer, StopAbandonsSession) {
@@ -149,13 +157,142 @@ TEST(VodServer, RandomizedVcrWorkloadStaysCorrect) {
   }
 }
 
+std::string fields(const VodServer::SessionInfo& s) {
+  std::ostringstream os;
+  os << "{state " << static_cast<int>(s.state) << ", next_segment "
+     << s.next_segment << ", admitted_slot " << s.admitted_slot
+     << ", playout_ok " << s.playout_ok << ", resumes " << s.resumes << "}";
+  return os.str();
+}
+
+testing::AssertionResult same_session(const VodServer::SessionInfo& got,
+                                      const VodServer::SessionInfo& want) {
+  if (got.state == want.state && got.next_segment == want.next_segment &&
+      got.admitted_slot == want.admitted_slot &&
+      got.playout_ok == want.playout_ok && got.resumes == want.resumes) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "got " << fields(got) << ", want " << fields(want);
+}
+
+// The stepped oracle for VodServer's clock-derived positions: the per-slot
+// walk the closed form replaces. Every slot, each watching session admitted
+// before the new current slot moves on one segment, and finishes once it
+// passes segment n. Every (re-)admission is expected to meet its deadlines.
+struct SteppedMirror {
+  int n;
+  std::vector<VodServer::SessionInfo> sessions;  // session id - 1 -> info
+
+  void advance(Slot now) {
+    for (VodServer::SessionInfo& info : sessions) {
+      if (info.state != VodServer::SessionState::kWatching) continue;
+      if (info.admitted_slot >= now) continue;
+      ++info.next_segment;
+      if (info.next_segment > n) {
+        info.state = VodServer::SessionState::kFinished;
+      }
+    }
+  }
+  void start(Slot now) {
+    VodServer::SessionInfo info;
+    info.admitted_slot = now;
+    sessions.push_back(info);
+  }
+  int active() const {
+    int live = 0;
+    for (const VodServer::SessionInfo& info : sessions) {
+      if (info.state == VodServer::SessionState::kWatching ||
+          info.state == VodServer::SessionState::kPaused) {
+        ++live;
+      }
+    }
+    return live;
+  }
+};
+
+TEST(VodServer, ClosedFormMatchesSteppedMirror) {
+  using State = VodServer::SessionState;
+  for (const int n : {1, 2, 15, 99}) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    VodServer server(small_config(n));
+    SteppedMirror mirror{n, {}};
+    Rng rng(31);
+    int pauses = 0, resumes = 0, stops = 0;
+
+    // Every field of every session, and the live count, against the mirror.
+    auto expect_matches = [&](int step) {
+      ASSERT_EQ(server.session_ids().size(), mirror.sessions.size());
+      for (VodServer::ClientId id = 1; id <= mirror.sessions.size(); ++id) {
+        ASSERT_TRUE(same_session(server.session(id), mirror.sessions[id - 1]))
+            << "session " << id << ", step " << step;
+      }
+      ASSERT_EQ(server.active_sessions(), mirror.active()) << "step " << step;
+    };
+
+    // One admission before the clock first moves, at slot 0.
+    ASSERT_EQ(server.current_slot(), 0);
+    server.start();
+    mirror.start(0);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(-1));
+
+    for (int step = 0; step < 300; ++step) {
+      server.advance_slot();
+      const Slot now = server.current_slot();
+      mirror.advance(now);
+      ASSERT_NO_FATAL_FAILURE(expect_matches(step));
+
+      for (uint64_t op = rng.uniform_index(5); op > 0; --op) {
+        const double roll = rng.uniform();
+        if (roll < 0.3 || mirror.sessions.empty()) {
+          server.start();
+          mirror.start(now);
+          continue;
+        }
+        const VodServer::ClientId id =
+            1 + rng.uniform_index(mirror.sessions.size());
+        VodServer::SessionInfo& want = mirror.sessions[id - 1];
+        ASSERT_EQ(server.session(id).state, want.state) << "session " << id;
+        if (want.state == State::kWatching && roll < 0.85) {
+          server.pause(id);
+          want.state = State::kPaused;
+          ++pauses;
+        } else if (want.state == State::kPaused && roll < 0.9) {
+          server.resume(id);
+          want.state = State::kWatching;
+          want.admitted_slot = now;
+          ++want.resumes;
+          ++resumes;
+        } else if (want.state == State::kWatching ||
+                   want.state == State::kPaused) {
+          server.stop(id);
+          want.state = State::kStopped;
+          ++stops;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_matches(step));
+    }
+
+    // The storm reached every transition, finishing included.
+    EXPECT_GT(pauses, 0);
+    EXPECT_GT(resumes, 0);
+    EXPECT_GT(stops, 0);
+    int finished = 0;
+    for (const VodServer::SessionInfo& info : mirror.sessions) {
+      finished += info.state == State::kFinished ? 1 : 0;
+    }
+    EXPECT_GT(finished, 0);
+  }
+}
+
 // Regression for the determinism contract (DESIGN.md §8/§11): the session
-// table is a std::map precisely so that advance_slot()'s walk is
-// id-ordered — an unordered_map here once made the walk order an artifact
-// of hash-table internals. The golden FNV-1a checksum over a seeded VCR
-// workload pins the full externally visible behavior bit-for-bit; any
-// order-dependent walk sneaking back in shows up as a checksum change on
-// some platform or standard-library version.
+// table is a vector indexed by the dense session id, so every walk over it
+// is id-ordered — an unordered_map here once made the walk order an
+// artifact of hash-table internals. The golden FNV-1a checksum over a
+// seeded VCR workload pins the full externally visible behavior
+// bit-for-bit; any order-dependent walk sneaking back in, or a derived
+// session position drifting from the stepped one, shows up as a checksum
+// change on some platform or standard-library version.
 TEST(VodServer, DeterministicWorkloadChecksum) {
   constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
   constexpr uint64_t kFnvPrime = 1099511628211ULL;
@@ -217,6 +354,14 @@ TEST(VodServerDeath, InvalidOperations) {
   server.advance_slot();
   EXPECT_DEATH(server.pause(12345), "unknown session");
   const auto id = server.start();
+  const auto last = server.start();
+  // Ids run densely from 1: neither 0 nor the id after the last start
+  // names a session.
+  EXPECT_DEATH(server.session(0), "unknown session");
+  EXPECT_DEATH(server.pause(0), "unknown session");
+  EXPECT_DEATH(server.stop(0), "unknown session");
+  EXPECT_DEATH(server.session(last + 1), "unknown session");
+  EXPECT_DEATH(server.resume(last + 1), "unknown session");
   EXPECT_DEATH(server.resume(id), "paused");
   server.pause(id);
   EXPECT_DEATH(server.pause(id), "watching");
