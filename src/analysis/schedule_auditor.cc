@@ -94,7 +94,10 @@ AuditReport ScheduleAuditor::audit_schedule(const SlotSchedule& s) const {
   const Slot horizon = now + s.window();
 
   // Per-segment index: containment, ordering, and the sharing invariant.
-  std::vector<int> counted(static_cast<size_t>(s.window()) + 1, 0);
+  // The per-slot tally reuses one buffer per thread, so a clean audit —
+  // the per-slot hook of VOD_AUDIT builds — allocates nothing once warm.
+  thread_local std::vector<int> counted;
+  counted.assign(static_cast<size_t>(s.window()) + 1, 0);
   int indexed_total = 0;
   for (Segment j = 1; j <= s.num_segments(); ++j) {
     const std::span<const Slot> slots = s.instances_of(j);

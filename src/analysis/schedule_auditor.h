@@ -48,8 +48,9 @@
 //                    audit() / audit_schedule() and inspect the AuditReport;
 //   * debug hook   — audit_or_die(scheduler) aborts through VOD_CHECK on
 //                    the first violation. DhbScheduler::advance_slot_view()
-//                    calls it automatically in VOD_AUDIT builds (cmake
-//                    -DVOD_AUDIT=ON), making every simulation self-checking.
+//                    and advance_to() call it automatically in VOD_AUDIT
+//                    builds (cmake -DVOD_AUDIT=ON), making every simulation
+//                    self-checking.
 #pragma once
 
 #include <cstdint>

@@ -12,9 +12,10 @@
 // (j = 1..n) the window (i, i + T[j]] is examined; an existing instance is
 // shared when present, otherwise a new instance is placed by the configured
 // slot heuristic. advance_slot_view() moves to the next slot and reports
-// what the server transmits during it. Callers step every slot, idle ones
-// included (an empty step is O(1)), so the scheduler's clock is the
-// caller's and every plan slot is a slot of the caller's run.
+// what the server transmits during it; advance_to() crosses a span of
+// slots in one call while the schedule is empty, when every step would
+// transmit nothing. Either way the scheduler's clock is the caller's, and
+// every plan slot is a slot of the caller's run.
 //
 // Complexity. State is O(n + window). *Logical* cost is unchanged from the
 // paper: a request examines O(sum_j T[j]) window slots (total_slot_probes()
@@ -165,6 +166,12 @@ class DhbScheduler {
   // and O(1) on an empty schedule, where only the clock moves (inline, so
   // a caller's idle steps cost no call).
   std::span<const Segment> advance_slot_view() VOD_LIFETIMEBOUND;
+
+  // Moves the clock of an empty schedule straight to `slot`, which must not
+  // be behind current_slot(): exactly what stepping advance_slot_view()
+  // up to `slot` would do, since each of those steps transmits nothing,
+  // but O(1). VOD_AUDIT builds audit the schedule once, at the target.
+  void advance_to(Slot slot);
 
   // Switches the slot-choice rule live, mid-schedule — the reactive⇄DHB leg
   // of an adaptive protocol transition (server/adaptive_video.h). Committed
@@ -370,6 +377,18 @@ inline std::span<const Segment> DhbScheduler::advance_slot_view() {
   audit_or_die(*this);
 #endif
   return out;
+}
+
+inline void DhbScheduler::advance_to(Slot slot) {
+  VOD_DCHECK_SERIAL(serial_);
+  // SlotSchedule::advance_to checks the schedule is empty; the memo and the
+  // scratch arena then already are too (see advance_slot_view()).
+  schedule_.advance_to(slot);
+  VOD_DCHECK(!memo_valid_);
+  VOD_DCHECK(scratch_.mark().block == 0 && scratch_.mark().used == 0);
+#ifdef VOD_AUDIT
+  audit_or_die(*this);
+#endif
 }
 
 }  // namespace vod

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "util/check.h"
 
@@ -35,6 +36,14 @@ size_t initial_arena_bytes(int num_segments, int window) {
                        + segs * sizeof(Slot)                   // latest
                        + 64;                                   // align slack
   return bytes < 1024 ? 1024 : bytes;
+}
+
+// Minimum of `m` and the loads in [first, last): a select per element and
+// no early exit, so GCC vectorizes it at -O3 with plain SSE2 (a compare
+// and a blend per vector), no intrinsics and no -march.
+int fold_min(const int* first, const int* last, int m) {
+  for (; first != last; ++first) m = std::min(m, *first);
+  return m;
 }
 
 }  // namespace
@@ -226,51 +235,29 @@ SlotSchedule::MinLoad SlotSchedule::min_load_earliest(Slot lo, Slot hi) const {
   return MinLoad{hi - static_cast<Slot>(b - late.pos), late.load};
 }
 
-void SlotSchedule::scan_desc(size_t p_hi, size_t p_lo, int* best_load,
-                             size_t* best_pos) const {
-  // Positions p_hi down to p_lo, strict '<': an earlier (lower) slot only
-  // displaces the incumbent with a strictly smaller load — the Figure 6
-  // latest-tie rule, continued across ranges.
-  for (size_t p = p_hi + 1; p-- > p_lo;) {
-    const int m = loads_[p];
-    if (m < *best_load) {
-      *best_load = m;
-      *best_pos = p;
-    }
-  }
-}
-
-void SlotSchedule::scan_asc(size_t p_lo, size_t p_hi, int* best_load,
-                            size_t* best_pos) const {
-  // Positions p_lo up to p_hi, strict '<': the earliest-tie rule.
-  for (size_t p = p_lo; p <= p_hi; ++p) {
-    const int m = loads_[p];
-    if (m < *best_load) {
-      *best_load = m;
-      *best_pos = p;
-    }
-  }
-}
-
+// The window's ring positions are [a, early_end) for its first slots and,
+// when it wraps the ring, [0, b] for its last ones. Both scans reduce the
+// window to its minimum load first, then search for the slot holding it
+// from the latest (earliest) end: the slot the strict-improvement hi→lo
+// (lo→hi) scan of Figure 6 returns.
 SlotSchedule::MinLoad SlotSchedule::scan_min_load_latest(Slot lo,
                                                          Slot hi) const {
   VOD_DCHECK(lo > now_ && lo <= hi && hi <= now_ + window_);
   const size_t a = ring_index(lo);
   const size_t b = ring_index(hi);
-  int best_load = loads_[b];
-  size_t best_pos = b;
-  if (a <= b) {
-    if (b > a) scan_desc(b - 1, a, &best_load, &best_pos);
-    return MinLoad{lo + static_cast<Slot>(best_pos - a), best_load};
+  const bool wraps = a > b;
+  const size_t early_end = wraps ? ring_size_ : b + 1;
+  int m = fold_min(loads_ + a, loads_ + early_end,
+                   std::numeric_limits<int>::max());
+  if (wraps) {
+    m = fold_min(loads_, loads_ + b + 1, m);
+    for (size_t p = b + 1; p-- > 0;) {
+      if (loads_[p] == m) return MinLoad{hi - static_cast<Slot>(b - p), m};
+    }
   }
-  // Wrapped: the "late" range [0, b] holds the highest slots — scan it
-  // first (descending), then the "early" range [a, ring_size).
-  if (b > 0) scan_desc(b - 1, 0, &best_load, &best_pos);
-  scan_desc(ring_size_ - 1, a, &best_load, &best_pos);
-  if (best_pos <= b) {
-    return MinLoad{hi - static_cast<Slot>(b - best_pos), best_load};
-  }
-  return MinLoad{lo + static_cast<Slot>(best_pos - a), best_load};
+  size_t p = early_end - 1;
+  while (loads_[p] != m) --p;
+  return MinLoad{lo + static_cast<Slot>(p - a), m};
 }
 
 SlotSchedule::MinLoad SlotSchedule::scan_min_load_earliest(Slot lo,
@@ -278,22 +265,17 @@ SlotSchedule::MinLoad SlotSchedule::scan_min_load_earliest(Slot lo,
   VOD_DCHECK(lo > now_ && lo <= hi && hi <= now_ + window_);
   const size_t a = ring_index(lo);
   const size_t b = ring_index(hi);
-  int best_load = loads_[a];
-  size_t best_pos = a;
-  if (a <= b) {
-    if (b > a) scan_asc(a + 1, b, &best_load, &best_pos);
-    return MinLoad{lo + static_cast<Slot>(best_pos - a), best_load};
+  const bool wraps = a > b;
+  const size_t early_end = wraps ? ring_size_ : b + 1;
+  int m = fold_min(loads_ + a, loads_ + early_end,
+                   std::numeric_limits<int>::max());
+  if (wraps) m = fold_min(loads_, loads_ + b + 1, m);
+  for (size_t p = a; p < early_end; ++p) {
+    if (loads_[p] == m) return MinLoad{lo + static_cast<Slot>(p - a), m};
   }
-  // Wrapped: the "early" range [a, ring_size) holds the lowest slots —
-  // scan it first (ascending), then the "late" range [0, b].
-  if (a + 1 <= ring_size_ - 1) {
-    scan_asc(a + 1, ring_size_ - 1, &best_load, &best_pos);
-  }
-  scan_asc(0, b, &best_load, &best_pos);
-  if (best_pos >= a) {
-    return MinLoad{lo + static_cast<Slot>(best_pos - a), best_load};
-  }
-  return MinLoad{hi - static_cast<Slot>(b - best_pos), best_load};
+  size_t p = 0;
+  while (loads_[p] != m) ++p;
+  return MinLoad{hi - static_cast<Slot>(b - p), m};
 }
 
 void SlotSchedule::add_load_overlay(Slot s, int delta) {

@@ -44,9 +44,10 @@
 // Both are exact: they reproduce the naive window scans bit for bit (the
 // differential fuzzer is the oracle). The naive scans themselves are
 // served by scan_min_load_latest() / scan_min_load_earliest(): the same
-// Figure 6 linear scans, but batched over the contiguous load ring — a
-// window decomposes into at most two raw ranges, probed without a
-// per-slot modulo. Callers running transactional or masked placements
+// Figure 6 answer, batched over the contiguous load ring — a window
+// decomposes into at most two raw ranges, reduced to their minimum
+// without a branch per slot and then searched for the latest (earliest)
+// slot holding it. Callers running transactional or masked placements
 // (bounded admission, the client-stream-cap variant) can superimpose
 // transient per-slot deltas on the index only via add_load_overlay(); the
 // overlay never touches the real loads and must be cleared before the
@@ -127,6 +128,17 @@ class SlotSchedule {
     return vacate_current_row();
   }
 
+  // Moves the clock of an EMPTY schedule to slot `s`, which must not be
+  // behind now(): what s - now() advance() calls would do, in O(1). With
+  // nothing scheduled every ring row is already clear and every index
+  // leaf already 0, so only the clock moves.
+  void advance_to(Slot s) {
+    VOD_CHECK_MSG(total_ == 0, "advance_to on a non-empty schedule");
+    VOD_CHECK_MSG(s >= now_, "advance_to behind the clock");
+    VOD_DCHECK(overlay_.empty());
+    now_ = s;
+  }
+
   // Total instances currently scheduled in the window.
   int total_scheduled() const { return total_; }
 
@@ -148,10 +160,11 @@ class SlotSchedule {
 
   // --- Batched window probes (O(width), naive reference path) ----------
 
-  // The literal Figure 6 scans over the RAW load counters (no overlay, no
-  // index), answered by probing the contiguous load ring directly: the
-  // window maps to at most two raw ranges, so the scan runs without a
-  // per-slot modulo or bounds re-check. Decision-identical to
+  // The Figure 6 scans over the RAW load counters (no overlay, no index),
+  // answered by probing the contiguous load ring directly: the window maps
+  // to at most two raw ranges, whose minimum a branch-free reduction finds
+  // (GCC vectorizes it at -O3 without -march); a search from the hi (lo)
+  // end then returns the first slot holding it. Decision-identical to
   // min_load_latest / min_load_earliest without an overlay — the naive
   // reference path the differential fuzzer cross-checks, and the
   // placement path of videos below the index cutover
@@ -224,13 +237,6 @@ class SlotSchedule {
   // advance() on a non-empty schedule: empties the new current slot's ring
   // row and drops its instances from their segment rows.
   std::span<const Segment> vacate_current_row() VOD_LIFETIMEBOUND;
-
-  // Raw-ring scan over positions [p_hi .. p_lo] descending / ascending,
-  // continuing from (best_load, best_pos). Helpers for the batched probes.
-  void scan_desc(size_t p_hi, size_t p_lo, int* best_load,
-                 size_t* best_pos) const;
-  void scan_asc(size_t p_lo, size_t p_hi, int* best_load,
-                size_t* best_pos) const;
 
   int num_segments_;
   int window_;

@@ -63,6 +63,71 @@ struct ShardResult {
   std::vector<uint64_t> video_switches;   // adaptive mode switches
 };
 
+// A video's provisioned figure: its measured slots cut into windows of
+// `window` slots (0 = off), and the mean over complete windows of each
+// window's peak stream count.
+struct ProvisionedWindows {
+  uint64_t window = 0;
+  int peak = 0;       // peak inside the current window
+  uint64_t fill = 0;  // measured slots accumulated into it
+  double sum = 0.0;
+  uint64_t complete = 0;
+
+  void add(int streams) {
+    if (window == 0) return;
+    peak = std::max(peak, streams);
+    if (++fill == window) {
+      sum += peak;
+      ++complete;
+      peak = 0;
+      fill = 0;
+    }
+  }
+
+  // `slots` calls of add(0) in closed form: the current window completes
+  // if they reach its end, and every further complete window peaks at 0.
+  void add_idle(uint64_t slots) {
+    if (window == 0) return;
+    if (fill + slots < window) {
+      fill += slots;
+      return;
+    }
+    slots -= window - fill;
+    sum += peak;
+    complete += 1 + slots / window;
+    peak = 0;
+    fill = slots % window;
+  }
+
+  // A trailing partial window is dropped: a shorter window has a lower
+  // expected max, so averaging it in would bias the provisioned figure
+  // down. Zero complete windows reports 0.0, never a 0/0 NaN.
+  double mean() const {
+    return complete > 0 ? sum / static_cast<double>(complete) : 0.0;
+  }
+};
+
+// The first step in [from, last] whose batch holds an arrival at time
+// `next_arrival`, decided by the slot loop's own test
+// next_arrival < step * d; last + 1 when none does (an arrival at +inf,
+// a rate-0 video, included). The test is monotone in the step, and the
+// division only seeds the search, so rounding cannot move the arrival to
+// a neighbouring slot.
+uint64_t arrival_step(double next_arrival, uint64_t from, uint64_t last,
+                      double d) {
+  const auto holds = [&](uint64_t step) {
+    return next_arrival < static_cast<double>(step) * d;
+  };
+  if (!holds(last)) return last + 1;
+  const double guess = next_arrival / d;  // below about `last` here
+  uint64_t step = guess > static_cast<double>(from)
+                      ? std::min(last, static_cast<uint64_t>(guess))
+                      : from;
+  while (step > from && holds(step - 1)) --step;
+  while (!holds(step)) ++step;
+  return step;
+}
+
 // Simulates ranks [first_rank, last_rank) against the shared plan. Each
 // video is an independent thinned Poisson stream (rate λ·p_v) drawn from
 // its own substream rng.fork(rank + 1), so shards never contend on RNG
@@ -95,7 +160,6 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
   out->video_provisioned.assign(static_cast<size_t>(last_rank - first_rank),
                                 0.0);
   out->video_switches.assign(static_cast<size_t>(last_rank - first_rank), 0);
-  const uint64_t prov_window = config.provision_window_slots;
 
   const Rng base(config.seed);
   for (int v = first_rank; v < last_rank; ++v) {
@@ -103,9 +167,13 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
     const size_t local = static_cast<size_t>(v - first_rank);
     const double rate = plan.rate_kbs[idx];
 
+    // A DHB video's scheduler is built at its first arrival inside the
+    // horizon, so a video that never sees a request never builds one.
     std::unique_ptr<DhbScheduler> scheduler;
+    DhbConfig dhb;
     std::unique_ptr<AdaptiveVideo> adaptive;
     int fixed_streams = 0;
+    const bool is_dhb = !plan.is_adaptive[idx] && !plan.is_static[idx];
     if (plan.is_adaptive[idx]) {
       AdaptiveVideoConfig acfg = config.adaptive;
       acfg.num_segments = plan.segments[idx];
@@ -116,11 +184,9 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
     } else if (plan.is_static[idx]) {
       fixed_streams = NpbMapping::streams_for(plan.segments[idx]);
     } else {
-      DhbConfig dhb;
       dhb.num_segments = plan.segments[idx];
       dhb.use_placement_index = config.fast_admission;
       dhb.coalesce_same_slot = config.fast_admission;
-      scheduler = std::make_unique<DhbScheduler>(dhb);
     }
 
     // QoE identity for this video's admissions. An adaptive video stamps
@@ -131,7 +197,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
     // and every recording site below folds away with it.
     obs::QoeShard* qoe = obs::current_qoe();
     if (qoe != nullptr && !plan.is_adaptive[idx]) {
-      qoe->set_context(static_cast<uint32_t>(v), scheduler ? 1 : 2);
+      qoe->set_context(static_cast<uint32_t>(v), is_dhb ? 1 : 2);
     }
 
     // Flat Poisson by default; the §1 diurnal curve (thinned
@@ -152,23 +218,39 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
     }
     double next_arrival = arrivals->next();
     uint64_t idle_slots = 0;
-    int window_max = 0;          // provisioned: peak inside current window
-    uint64_t window_fill = 0;    // measured slots accumulated into it
-    double provisioned_sum = 0.0;
-    uint64_t provisioned_windows = 0;
+    ProvisionedWindows provisioned;
+    provisioned.window = config.provision_window_slots;
 
     for (uint64_t step = 1; step <= plan.total_slots; ++step) {
-      int streams;
+      int streams = 0;
       if (adaptive) {
         streams = adaptive->advance_slot();
-      } else if (!scheduler) {
+      } else if (!is_dhb) {
         streams = fixed_streams;  // always on, demand or not
-      } else {
-        // Deep in a Zipf tail most steps find the schedule empty; such a
-        // step only moves the scheduler's clock (O(1)), so the scheduler
-        // runs on the engine's slots.
-        if (scheduler->schedule().total_scheduled() == 0) ++idle_slots;
+      } else if (scheduler && scheduler->schedule().total_scheduled() > 0) {
         streams = static_cast<int>(scheduler->advance_slot_view().size());
+      } else {
+        // Nothing scheduled, and DHB transmits nothing until a request
+        // comes (§3): deep in a Zipf tail most steps are like this. Jump to
+        // the step whose batch holds the next arrival; every step up to it
+        // finds the schedule empty and sends 0 streams. Those before it are
+        // folded here, and the step itself runs the body below with 0.
+        const uint64_t to =
+            arrival_step(next_arrival, step, plan.total_slots, d);
+        idle_slots += std::min(to, plan.total_slots) - step + 1;
+        const uint64_t first_measured = std::max(step, plan.warmup_slots + 1);
+        if (to > first_measured) provisioned.add_idle(to - first_measured);
+        if (to > plan.total_slots) {
+          // No arrival left in the horizon: the clock still ends on the
+          // engine's last slot.
+          if (scheduler) {
+            scheduler->advance_to(static_cast<Slot>(plan.total_slots));
+          }
+          break;
+        }
+        if (!scheduler) scheduler = std::make_unique<DhbScheduler>(dhb);
+        scheduler->advance_to(static_cast<Slot>(to));
+        step = to;
       }
 
       if (step > plan.warmup_slots) {
@@ -176,15 +258,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
         out->slot_streams[slot] += streams;
         out->slot_kbs[slot] += streams * rate;
         out->video_stream_sum[local] += streams;
-        if (prov_window > 0) {
-          window_max = std::max(window_max, streams);
-          if (++window_fill == prov_window) {
-            provisioned_sum += window_max;
-            ++provisioned_windows;
-            window_max = 0;
-            window_fill = 0;
-          }
-        }
+        provisioned.add(streams);
       }
 
       // Drain this slot's Poisson arrivals first, then admit them as one
@@ -220,13 +294,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       }
     }
 
-    // A trailing partial window is dropped: a shorter window has a lower
-    // expected max, so averaging it in would bias the provisioned figure
-    // down. Zero complete windows reports 0.0, never a 0/0 NaN.
-    if (provisioned_windows > 0) {
-      out->video_provisioned[local] =
-          provisioned_sum / static_cast<double>(provisioned_windows);
-    }
+    out->video_provisioned[local] = provisioned.mean();
     if (adaptive) out->video_switches[local] = adaptive->switches();
 
     if (metrics != nullptr) {
@@ -235,7 +303,8 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       metrics->counter("engine_requests_total")
           ->inc(out->video_requests[local]);
       // Fold the per-video scheduler's dhb_* counters into this shard so
-      // the catalog-wide totals survive the scheduler's destruction.
+      // the catalog-wide totals survive the scheduler's destruction. A
+      // video that never saw a request built none and exports nothing.
       if (scheduler) scheduler->export_metrics(metrics);
       if (adaptive) adaptive->export_metrics(metrics);
     }

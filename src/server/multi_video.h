@@ -31,7 +31,11 @@
 // per-shard per-slot stream totals in shard order. Because the shard
 // decomposition and the merge order never depend on the thread count, the
 // result is bit-identical for a given seed at any `num_threads`
-// (DESIGN.md §8 has the full argument).
+// (DESIGN.md §8 has the full argument). A DHB video costs its requests and
+// busy slots, not its horizon: its scheduler is built at its first
+// arrival, and the engine jumps each span in which its schedule is empty
+// (DhbScheduler::advance_to()), so a video nobody requests costs one
+// arrival draw.
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/dhb.h"
 #include "naive_oracle.h"
+#include "obs/metrics.h"
 #include "protocols/harmonic.h"
 #include "sim/random.h"
 
@@ -98,6 +101,23 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// Every counter a scheduler exports, by name.
+std::map<std::string, uint64_t> exported(const DhbScheduler& dhb) {
+  obs::MetricShard shard;
+  dhb.export_metrics(&shard);
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, counter] : shard.counters()) {
+    out[name] = counter.value();
+  }
+#ifdef VOD_AUDIT
+  // Audit builds audit the schedule at every step, and the audit's own
+  // range-min probes count as index queries: that meter then follows how
+  // often a scheduler was audited, not what it admitted.
+  out.erase("schedule_index_queries_total");
+#endif
+  return out;
+}
+
 // An empty step is translation-invariant: stepping through idle slots only
 // moves the clock. One scheduler is stepped on every slot; its twin only
 // while its schedule is non-empty, as a caller that skipped idle slots
@@ -105,7 +125,10 @@ INSTANTIATE_TEST_SUITE_P(
 // and transmission must match the stepped scheduler's shifted by exactly
 // that lag. Sparse bursts drain the schedule between them, and the lag moves
 // the twin's ring positions off the stepped scheduler's, so the placement
-// paths also run across different ring wraps.
+// paths also run across different ring wraps. A third scheduler crosses
+// each empty span with one advance_to() call, as the catalog engine does:
+// its clock, plans, transmissions and exported counters must equal the
+// stepped scheduler's with no shift at all.
 class DhbEmptyStepTest
     : public ::testing::TestWithParam<std::tuple<SlotHeuristic, bool>> {};
 
@@ -118,10 +141,12 @@ TEST_P(DhbEmptyStepTest, EmptyStepsAreTranslationInvariant) {
   c.placement_index_cutover = 0;  // the index, when on, always engages
   DhbScheduler stepped(c);
   DhbScheduler twin(c);
+  DhbScheduler jumped(c);
   Rng rng(11 + static_cast<uint64_t>(heuristic) * 2 + (use_index ? 1 : 0));
 
   Slot skipped = 0;
   uint64_t requests = 0;
+  int jumps = 0;
   for (int step = 0; step < 4000; ++step) {
     const std::span<const Segment> view = stepped.advance_slot_view();
     const std::vector<Segment> sent(view.begin(), view.end());
@@ -135,11 +160,23 @@ TEST_P(DhbEmptyStepTest, EmptyStepsAreTranslationInvariant) {
       ++skipped;
     }
     ASSERT_EQ(stepped.current_slot() - twin.current_slot(), skipped);
+    if (jumped.schedule().total_scheduled() > 0) {
+      const std::span<const Segment> jumped_sent = jumped.advance_slot_view();
+      ASSERT_TRUE(std::equal(sent.begin(), sent.end(), jumped_sent.begin(),
+                             jumped_sent.end()))
+          << "slot " << stepped.current_slot();
+      ASSERT_EQ(jumped.current_slot(), stepped.current_slot());
+    }
 
     const uint64_t burst = rng.uniform() < 0.02 ? 1 + rng.poisson(3.0) : 0;
+    if (burst > 0 && jumped.schedule().total_scheduled() == 0) {
+      jumped.advance_to(stepped.current_slot());
+      ++jumps;
+    }
     for (uint64_t k = 0; k < burst; ++k, ++requests) {
       const DhbRequestResult a = stepped.on_request();
       const DhbRequestResult b = twin.on_request();
+      const DhbRequestResult r = jumped.on_request();
       ASSERT_EQ(a.plan.arrival_slot - b.plan.arrival_slot, skipped);
       ASSERT_EQ(a.plan.reception_slot.size(), b.plan.reception_slot.size());
       for (size_t j = 0; j < a.plan.reception_slot.size(); ++j) {
@@ -148,6 +185,11 @@ TEST_P(DhbEmptyStepTest, EmptyStepsAreTranslationInvariant) {
             << "S" << j + 1 << " at slot " << stepped.current_slot();
       }
       ASSERT_EQ(a.new_instances, b.new_instances);
+      ASSERT_EQ(r.plan.arrival_slot, a.plan.arrival_slot);
+      ASSERT_EQ(r.plan.reception_slot, a.plan.reception_slot)
+          << "slot " << stepped.current_slot();
+      ASSERT_EQ(r.new_instances, a.new_instances);
+      ASSERT_EQ(r.shared_instances, a.shared_instances);
     }
   }
   EXPECT_GT(skipped, 1000);  // the twin really did skip idle spans
@@ -156,6 +198,14 @@ TEST_P(DhbEmptyStepTest, EmptyStepsAreTranslationInvariant) {
   EXPECT_EQ(stepped.total_new_instances(), twin.total_new_instances());
   EXPECT_EQ(stepped.total_coalesced_requests(),
             twin.total_coalesced_requests());
+
+  // The last span, if the run ends on one, is crossed the same way.
+  if (jumped.schedule().total_scheduled() == 0) {
+    jumped.advance_to(stepped.current_slot());
+  }
+  EXPECT_GT(jumps, 20);
+  EXPECT_EQ(jumped.current_slot(), stepped.current_slot());
+  EXPECT_EQ(exported(jumped), exported(stepped));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -242,6 +292,26 @@ TEST(DhbEmptyPlan, SetHeuristicDropsTheRecordedPlan) {
     }
     drain(&dhb);
   }
+}
+
+// advance_to() only crosses empty spans, and only forward.
+TEST(DhbSchedulerDeath, AdvanceToRequiresAnEmptySchedule) {
+  DhbConfig c;
+  c.num_segments = 5;
+  DhbScheduler dhb(c);
+  dhb.advance_slot_view();
+  dhb.on_request();
+  EXPECT_DEATH(dhb.advance_to(dhb.current_slot() + 10), "non-empty schedule");
+}
+
+TEST(DhbSchedulerDeath, AdvanceToRejectsATargetBehindTheClock) {
+  DhbConfig c;
+  c.num_segments = 5;
+  DhbScheduler dhb(c);
+  dhb.advance_to(7);
+  ASSERT_EQ(dhb.current_slot(), 7);
+  dhb.advance_to(7);  // the clock itself is a legal target
+  EXPECT_DEATH(dhb.advance_to(6), "behind the clock");
 }
 
 class DhbCappedPropertyTest : public ::testing::TestWithParam<int> {};

@@ -85,7 +85,7 @@ SlotSchedule::MinLoad naive_window_min(
 }
 
 TEST(SlotScheduleWrap, SeamSweepEveryWindowEveryOffset) {
-  // Windows 1..9. The slab layout rounds the ring up to a power of two
+  // Windows 1..9 first. The slab layout rounds the ring up to a power of two
   // (2, 4, 8, 16 here — window 9 crosses into a 16-ring, exercising the
   // mask with real padding positions), so the sweep advances 0..2*ring of
   // the ACTUAL ring size to park the wrap seam at every offset. Then lay
@@ -94,11 +94,22 @@ TEST(SlotScheduleWrap, SeamSweepEveryWindowEveryOffset) {
   // cross product of (ring size) x (seam position) x (query window). The
   // batched raw-ring probes (scan_min_load_latest / _earliest) are checked
   // in the same sweep against the overlay-free naive scan, which they must
-  // reproduce regardless of any live overlay.
-  for (int window = 1; window <= 9; ++window) {
+  // reproduce regardless of any live overlay. Wider windows run those
+  // probes' vectorized minimum over whole vectors plus a scalar tail, on
+  // both sides of the seam; they park it at offsets 0, 1, ring/2 and
+  // ring - 1 only.
+  const int windows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 99, 127};
+  for (const int window : windows) {
     int ring = 1;
     while (ring < window + 1) ring *= 2;
-    for (int advances = 0; advances <= 2 * ring; ++advances) {
+    std::vector<int> offsets = {0, 1, ring / 2, ring - 1};
+    if (window <= 9) {
+      offsets.clear();
+      for (int advances = 0; advances <= 2 * ring; ++advances) {
+        offsets.push_back(advances);
+      }
+    }
+    for (const int advances : offsets) {
       Rng rng(77 * window + advances);
       SlotSchedule s(/*num_segments=*/window, window);
       for (int i = 0; i < advances; ++i) s.advance();
