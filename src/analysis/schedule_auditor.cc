@@ -189,10 +189,9 @@ AuditReport ScheduleAuditor::audit_schedule(const SlotSchedule& s) const {
   // admission window (now, hi] the scheduler can issue (admissions always
   // start at now+1). The naive answers grow incrementally with hi: "min
   // load, ties latest" adopts a new slot on load <= min, "ties earliest"
-  // only on load < min. Skipped while a transient overlay is live — the
-  // index then intentionally diverges from the raw load counters — and on
-  // a schedule that keeps no index (a video below the index cutover).
-  if (s.has_placement_index() && !s.has_load_overlay()) {
+  // only on load < min. Skipped on a schedule that keeps no index (a video
+  // below the index cutover).
+  if (s.has_placement_index()) {
     Slot best_latest = 0;
     Slot best_earliest = 0;
     int best_latest_load = 0;

@@ -25,10 +25,8 @@
 //                    equals the back of every per-segment list, and the
 //                    range-min index reproduces the linear min-load scan
 //                    (both tie-break directions) for every admission window
-//                    (now, hi]. Skipped while a transient load overlay is
-//                    live (the index legitimately diverges from raw loads)
-//                    and on a schedule without an index (below the
-//                    DhbConfig::placement_index_cutover);
+//                    (now, hi]. Skipped on a schedule without an index
+//                    (below the DhbConfig::placement_index_cutover);
 //   * clock        — the slot clock never moves backwards, and advances by
 //                    exactly one per observed advance_slot_view();
 //   * conservation — lifetime counters (incl. rejected bounded admissions

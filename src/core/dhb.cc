@@ -11,29 +11,24 @@ namespace vod {
 
 namespace {
 
-// Work-unit prices (total_work_units()). A sharing check costs one unit in
-// both modes (the latest-instance cache answers it, and the per-segment
+// Work-unit prices (total_work_units()). A sharing check costs one unit on
+// every path (the latest-instance cache answers it, and the per-segment
 // fallback lists are O(1) amortized). A placement attempt costs its query
 // plus, when an instance is actually placed, one commit unit:
-//   index mode: query = 1 (range-min lookup), commit = 1  -> 2 per instance
-//   naive mode: query = window width,         commit = 1
+//   index query (uncapped, above the cutover): 1,            commit = 1
+//   scan (below the cutover; capped; bounded): window width, commit = 1
 // Rejected bounded attempts pay their queries but no commit. An admission
 // replayed from the recorded empty-schedule plan places every segment and
-// pays the index-mode price in both modes: share probe + query + commit =
-// 3 per segment, i.e. 3n >= 1 + 2n. The pricing guarantees the auditor's
-// conservation law
+// pays the index price on both sides of the cutover: share probe + query +
+// commit = 3 per segment, i.e. 3n >= 1 + 2n. The pricing guarantees the
+// auditor's conservation law
 //   work_units >= requests + 2 * new_instances + rejected
-// on every path in both modes (each admitted request makes >= 1 sharing
-// check; each placement costs >= 2; each rejection pays >= 1 query).
+// on every path (each admitted request makes >= 1 sharing check; each
+// placement costs >= 2; each rejection pays >= 1 query).
 constexpr uint64_t kWorkShareProbe = 1;
 constexpr uint64_t kWorkIndexQuery = 1;
 constexpr uint64_t kWorkCommit = 1;
 constexpr uint64_t kWorkMemoCopy = 1;
-
-// Overlay delta that marks a slot client-saturated in capped mode: any
-// real load is far below it, so a min query returning >= the mask means
-// "no slot with remaining client capacity in the range".
-constexpr int kClientSaturatedMask = 1 << 28;
 
 // QoE recording for `count` requests sharing one reception plan: startup
 // wait = first reception minus arrival, and — because the admission window
@@ -115,8 +110,7 @@ void DhbScheduler::export_metrics(obs::MetricShard* out) const {
   add("dhb_cap_violation_slots_total", cap_violations_);
   add("schedule_instances_added_total", schedule_.total_instances_added());
   add("schedule_advances_total", static_cast<uint64_t>(schedule_.now()));
-  add("schedule_overlay_ops_total", schedule_.total_overlay_ops());
-  add("schedule_index_queries_total", schedule_.total_index_queries());
+  add("schedule_index_queries_total", index_queries_);
   add("schedule_index_updates_total", schedule_.total_index_updates());
   // Memory-behavior meters (DESIGN.md §14): slab re-layouts and arena
   // block/byte consumption across the schedule slabs and the admission
@@ -233,6 +227,11 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
   const int n = last_segment;
   const int cap = config_.client_stream_cap;
   const bool fast = use_index_;
+  // Whether an uncapped placement queries the index: only the min-load
+  // rules read loads at all.
+  const bool index_query =
+      fast && (config_.heuristic == SlotHeuristic::kMinLoadLatest ||
+               config_.heuristic == SlotHeuristic::kMinLoadEarliest);
   if (first_segment != 1) had_clamped_admissions_ = true;
   // A full uncapped admission into an empty schedule under a deterministic
   // rule: replay the recorded plan, or run the loop and record it.
@@ -282,16 +281,15 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
     bool is_new = false;
 
     if (cap == 0) {
-      // find_instance answers in O(1) off the latest-instance cache here:
-      // lo is now+1, so the window is the whole scheduling future.
       work_ += kWorkShareProbe;
-      if (std::optional<Slot> shared = schedule_.find_instance(j, lo, hi)) {
+      if (std::optional<Slot> shared = schedule_.find_instance(j, hi)) {
         chosen = *shared;
       } else {
         chosen = choose_slot(config_.heuristic, schedule_, lo, hi, &rng_,
                              fast);
         is_new = true;
         work_ += (fast ? kWorkIndexQuery : width) + kWorkCommit;
+        if (index_query) ++index_queries_;
       }
     } else {
       // Prefer sharing an instance in a slot with remaining client capacity
@@ -306,20 +304,11 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
         }
       }
       if (chosen == 0) {
-        // Min-load-latest restricted to client-unsaturated slots. In index
-        // mode the saturated slots carry a +kClientSaturatedMask overlay,
-        // so one range-min query answers the restricted rule: a minimum
-        // >= the mask means every slot in the window is saturated.
-        std::optional<Slot> fresh;
-        if (fast) {
-          work_ += kWorkIndexQuery;
-          const SlotSchedule::MinLoad m = schedule_.min_load_latest(lo, hi);
-          if (m.load < kClientSaturatedMask) fresh = m.slot;
-        } else {
-          work_ += width;
-          fresh = choose_capped_slot(lo, hi, client_load, arrival);
-        }
-        if (fresh) {
+        // Min-load-latest restricted to client-unsaturated slots: a scan
+        // of the window, with or without an index.
+        work_ += width;
+        if (std::optional<Slot> fresh =
+                choose_capped_slot(lo, hi, client_load, arrival)) {
           chosen = *fresh;
           is_new = true;
           work_ += kWorkCommit;
@@ -327,17 +316,13 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
           // The cap cannot be honoured anywhere in the window. Fall back to
           // the uncapped rule and record the violation: the plan stays
           // deadline-correct but the STB needs > cap streams for one slot.
-          // The fallback must see raw loads, so it always runs the naive
-          // scans (the placement index carries the saturation overlay).
           ++result.cap_violations;
           ++cap_violations_;
           work_ += kWorkShareProbe;
-          if (std::optional<Slot> shared =
-                  schedule_.find_instance(j, lo, hi)) {
+          if (std::optional<Slot> shared = schedule_.find_instance(j, hi)) {
             chosen = *shared;
           } else {
-            chosen = choose_slot(SlotHeuristic::kMinLoadLatest, schedule_, lo,
-                                 hi, &rng_, /*use_index=*/false);
+            chosen = schedule_.scan_min_load_latest(lo, hi).slot;
             is_new = true;
             work_ += width + kWorkCommit;
           }
@@ -351,21 +336,11 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
     } else {
       ++result.shared_instances;
     }
-    if (cap > 0) {
-      const size_t k = static_cast<size_t>(chosen - lo);
-      ++client_load[k];
-      // Exact transition to the cap (increments are by one, so every
-      // saturation passes through it): mask the slot out of further
-      // placement queries for this admission.
-      if (fast && client_load[k] == cap) {
-        schedule_.add_load_overlay(chosen, kClientSaturatedMask);
-      }
-    }
+    if (cap > 0) ++client_load[static_cast<size_t>(chosen - lo)];
     result.plan.reception_slot[static_cast<size_t>(j - first_segment)] =
         chosen;
   }
 
-  if (cap > 0 && fast) schedule_.clear_load_overlay();
   scratch_.rewind(scratch_mark);
   if (empty_full) record_empty_plan();
   record_admission_qoe(qoe_count, result);
@@ -430,19 +405,13 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
   memo_valid_ = false;
   const Slot arrival = schedule_.now();
   const int n = config_.num_segments;
-  const bool fast = use_index_;
 
   // Tentative additions per window slot; nothing touches the schedule
-  // until every segment has found a home. Index mode records the tentative
-  // placements as +1 overlay deltas so the range-min query prices them in;
-  // naive mode keeps the explicit per-slot array. Scratch-arena backed,
-  // rewound on every exit path.
+  // until every segment has found a home. Scratch-arena backed, rewound on
+  // every exit path.
   const Arena::Mark scratch_mark = scratch_.mark();
-  int* bounded_added = nullptr;
-  if (!fast) {
-    bounded_added = scratch_.alloc_array<int>(static_cast<size_t>(window_));
-    std::fill_n(bounded_added, static_cast<size_t>(window_), 0);
-  }
+  int* bounded_added = scratch_.alloc_array<int>(static_cast<size_t>(window_));
+  std::fill_n(bounded_added, static_cast<size_t>(window_), 0);
   struct Placement {
     Segment segment;
     Slot slot;
@@ -462,26 +431,21 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
 
     Slot chosen = 0;
     work_ += kWorkShareProbe;
-    if (std::optional<Slot> shared = schedule_.find_instance(j, lo, hi)) {
+    if (std::optional<Slot> shared = schedule_.find_instance(j, hi)) {
       chosen = *shared;
       ++result.shared_instances;
     } else {
       // Min-load-latest over slots still under the channel cap, counting
-      // this request's own tentative placements.
-      if (fast) {
-        work_ += kWorkIndexQuery;
-        const SlotSchedule::MinLoad m = schedule_.min_load_latest(lo, hi);
-        if (m.load < channel_cap) chosen = m.slot;
-      } else {
-        work_ += width;
-        int best_load = channel_cap;
-        for (Slot s = hi; s >= lo; --s) {
-          const int load =
-              schedule_.load(s) + bounded_added[static_cast<size_t>(s - lo)];
-          if (load < best_load) {
-            best_load = load;
-            chosen = s;
-          }
+      // this request's own tentative placements: a scan of the window, with
+      // or without an index.
+      work_ += width;
+      int best_load = channel_cap;
+      for (Slot s = hi; s >= lo; --s) {
+        const int load =
+            schedule_.load(s) + bounded_added[static_cast<size_t>(s - lo)];
+        if (load < best_load) {
+          best_load = load;
+          chosen = s;
         }
       }
       if (chosen == 0) {
@@ -489,18 +453,13 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
         // above stay attributable (probes per attempt = probes /
         // (admitted + rejected)) instead of silently skewing the
         // per-admission cost metric.
-        if (fast) schedule_.clear_load_overlay();
         scratch_.rewind(scratch_mark);
         ++rejected_;
         VOD_TRACE_INSTANT("admission/rejected", "dhb", arrival,
                           {"segment", j}, {"channel_cap", channel_cap});
         return std::nullopt;
       }
-      if (fast) {
-        schedule_.add_load_overlay(chosen, 1);
-      } else {
-        ++bounded_added[static_cast<size_t>(chosen - lo)];
-      }
+      ++bounded_added[static_cast<size_t>(chosen - lo)];
       placements[placed++] = Placement{j, chosen};
       ++result.new_instances;
       work_ += kWorkCommit;
@@ -508,9 +467,6 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     result.plan.reception_slot[static_cast<size_t>(j - 1)] = chosen;
   }
 
-  // Commit: drop the tentative overlay first so add_instance's real +1s
-  // are not double-counted by the index.
-  if (fast) schedule_.clear_load_overlay();
   for (size_t p = 0; p < placed; ++p) {
     schedule_.add_instance(placements[p].segment, placements[p].slot);
   }
@@ -521,8 +477,6 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
 
 void DhbScheduler::set_heuristic(SlotHeuristic heuristic) {
   VOD_DCHECK_SERIAL(serial_);
-  VOD_CHECK_MSG(!schedule_.has_load_overlay(),
-                "cannot switch heuristics under a live load overlay");
   if (heuristic == config_.heuristic) return;
   config_.heuristic = heuristic;
   // The coalescing memo caches a plan whose placements ran under the old

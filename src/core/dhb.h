@@ -22,17 +22,19 @@
 // keeps charging exactly that, for comparability across experiments). The
 // *actual* cost rides the schedule's placement fast path: each sharing
 // check is O(1) via the latest-instance cache and, above the index cutover
-// (DhbConfig::placement_index_cutover), each fresh placement is
-// O(log window) via the range-min index, so an admission runs in
-// O(n log window) instead of O(n·window) = O(n²) — and requests coalesced
-// into the same slot cost O(1) each (see DhbConfig::coalesce_same_slot).
-// Below the cutover the schedule keeps no index and placements run the
-// naive scans. A full admission into an empty schedule sees only its own
-// placements, so under a deterministic heuristic its plan is one fixed
-// offset vector shifted by the arrival slot: the scheduler records the
-// offsets of its first such admission and commits every later one from
-// that record in O(n) (uncapped clients, full requests, any heuristic but
-// kRandom; set_heuristic() drops the record). total_work_units() meters
+// (DhbConfig::placement_index_cutover), each fresh placement of an
+// uncapped, unbounded admission is O(log window) via the range-min index,
+// so an admission runs in O(n log window) instead of O(n·window) = O(n²) —
+// and requests coalesced into the same slot cost O(1) each (see
+// DhbConfig::coalesce_same_slot). Below the cutover the schedule keeps no
+// index and placements run the naive scans; capped and bounded
+// placements, which must skip the slots a client or channel cap rules
+// out, always scan. A full admission into an empty schedule sees only its
+// own placements, so under a deterministic heuristic its plan is one
+// fixed offset vector shifted by the arrival slot: the scheduler records
+// the offsets of its first such admission and commits every later one
+// from that record in O(n) (uncapped clients, full requests, any heuristic
+// but kRandom; set_heuristic() drops the record). total_work_units() meters
 // the actual data-structure operations. Every fast path is bit-identical
 // to the naive Figure 6 scans (the differential fuzzer compares them
 // decision by decision); set DhbConfig::use_placement_index = false to run
@@ -178,14 +180,12 @@ class DhbScheduler {
   // instances are never moved (the §3 never-cancel rule), so only future
   // placements change; the same-slot coalescing memo and the recorded
   // empty-schedule plan are dropped because both were computed under the
-  // old rule, and the call refuses to run while a transient load overlay
-  // is live (bounded admissions must fully unwind first). The
-  // latest-instance cache and the range-min index (when the schedule keeps
-  // one) describe schedule *contents*, which this call does not touch —
-  // the placement audit (kPlacementIndexMismatch) stays green across a
-  // switch, and tests/adaptive_video_test.cc cross-checks fast ≡ naive
-  // placement on the admissions immediately after one. No-op when the rule
-  // is unchanged.
+  // old rule. The latest-instance cache and the range-min index (when the
+  // schedule keeps one) describe schedule *contents*, which this call does
+  // not touch — the placement audit (kPlacementIndexMismatch) stays green
+  // across a switch, and tests/adaptive_video_test.cc cross-checks fast ≡
+  // naive placement on the admissions immediately after one. No-op when
+  // the rule is unchanged.
   void set_heuristic(SlotHeuristic heuristic);
 
   Slot current_slot() const { return schedule_.now(); }
@@ -224,12 +224,13 @@ class DhbScheduler {
 
   // Actual data-structure operations performed, as opposed to the logical
   // slot probes above: 1 per sharing check, plus a placement-attempt charge
-  // of query + commit (index mode: 1 + 1; naive mode: window-width + 1,
-  // the commit charged only when an instance is placed), plus 1 per
-  // coalesced follower (the memo copy). An admission replayed from the
-  // recorded empty-schedule plan is charged the index-mode price in either
-  // mode: 3 per segment (share check + query + commit). ScheduleAuditor
-  // asserts the conservation law
+  // of query + commit (an uncapped placement through the index: 1 + 1; a
+  // scan — below the cutover, or any capped or bounded placement:
+  // window-width + 1, the commit charged only when an instance is placed),
+  // plus 1 per coalesced follower (the memo copy). An admission replayed
+  // from the recorded empty-schedule plan is charged the index price
+  // either side of the cutover: 3 per segment (share check + query +
+  // commit). ScheduleAuditor asserts the conservation law
   //   work_units >= requests + 2 * new_instances + rejected.
   uint64_t total_work_units() const { return work_; }
 
@@ -314,6 +315,7 @@ class DhbScheduler {
   uint64_t admissions_placed_ = 0;      // admissions placing >= 1 instance
   uint64_t admissions_all_shared_ = 0;  // admissions sharing every segment
   uint64_t cap_violations_ = 0;         // client-cap violation slots
+  uint64_t index_queries_ = 0;          // placements the range-min index ran
   bool had_clamped_admissions_ = false;
 
   // Same-slot coalescing memo: once a full request has been admitted in the

@@ -36,8 +36,7 @@ std::string to_string(SlotHeuristic h);
 // placement index by default (the schedule must keep one); `use_index =
 // false` forces the literal O(W) Figure 6 scan instead. Both return the
 // same slot for every input — the naive scan is kept as the differential
-// oracle, serves schedules without an index, and serves callers that must
-// ignore a live load overlay, which only the index sees.
+// oracle and serves schedules without an index.
 Slot choose_slot(SlotHeuristic h, const SlotSchedule& schedule, Slot lo,
                  Slot hi, Rng* rng, bool use_index = true);
 

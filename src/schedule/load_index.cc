@@ -52,7 +52,6 @@ int LoadIndex::value(size_t pos) const {
 
 LoadIndex::MinResult LoadIndex::min_latest(size_t a, size_t b) const {
   VOD_DCHECK(a <= b && b < ring_size_);
-  ++queries_;
   size_t ln[64];
   size_t rn[64];
   size_t lc = 0;
@@ -91,7 +90,6 @@ LoadIndex::MinResult LoadIndex::min_latest(size_t a, size_t b) const {
 
 LoadIndex::MinResult LoadIndex::min_earliest(size_t a, size_t b) const {
   VOD_DCHECK(a <= b && b < ring_size_);
-  ++queries_;
   size_t ln[64];
   size_t rn[64];
   size_t lc = 0;

@@ -12,10 +12,9 @@
 // The index speaks *ring positions*, not slots: SlotSchedule maps a slot
 // window (lo, hi] onto at most two contiguous position ranges (the ring
 // wraps at most once because every window is narrower than the ring) and
-// composes the per-range results. Values are plain ints so callers can
-// superimpose transient deltas — the tentative placements of a bounded
-// admission, or the "client-saturated slot" masks of the capped variant —
-// directly on the tree and rip them back out afterwards.
+// composes the per-range results. The leaves hold the ring's real load
+// counters: SlotSchedule adds +1 per placed instance and removes a slot's
+// whole load when the clock vacates it.
 #pragma once
 
 #include <cstddef>
@@ -52,17 +51,15 @@ class LoadIndex {
   MinResult min_latest(size_t a, size_t b) const;
   MinResult min_earliest(size_t a, size_t b) const;
 
-  // Lifetime operation accounting for the observability layer: range-min
-  // queries answered and point updates applied. Exported by the scheduler
-  // as schedule_index_* counters; never read on a decision path.
-  uint64_t total_queries() const { return queries_; }
+  // Lifetime operation accounting for the observability layer: point
+  // updates applied. Exported by the scheduler as
+  // schedule_index_updates_total; never read on a decision path.
   uint64_t total_updates() const { return updates_; }
 
  private:
   size_t ring_size_;
   size_t leaves_;          // smallest power of two >= ring_size_
   std::vector<int> tree_;  // 1-based heap layout; leaf p at leaves_ + p
-  mutable uint64_t queries_ = 0;  // op metering only (const query paths)
   uint64_t updates_ = 0;
 };
 

@@ -108,21 +108,14 @@ int SlotSchedule::load(Slot s) const {
   return loads_[ring_index(s)];
 }
 
-std::optional<Slot> SlotSchedule::find_instance(Segment j, Slot lo,
-                                                Slot hi) const {
-  VOD_DCHECK(j >= 1 && j <= num_segments_);
-  // Fast path: the latest future instance answers for the whole window
-  // (now, hi] because every live instance is > now >= lo - 1.
-  const Slot latest = latest_[static_cast<size_t>(j)];
-  if (latest == 0) return std::nullopt;
-  if (lo == now_ + 1 && latest <= hi) return latest;
+std::optional<Slot> SlotSchedule::find_earlier_instance(Segment j,
+                                                        Slot hi) const {
+  // The row is ascending and its last entry (the latest instance) is past
+  // hi; rows are short (almost always 0 or 1 entries). Every entry is
+  // > now, so the first one <= hi from the back is the answer.
   const Slot* row = seg_row(static_cast<size_t>(j));
-  // Latest instance <= hi; rows are short (almost always 0 or 1 entries).
-  for (int i = seg_len_[static_cast<size_t>(j)]; i-- > 0;) {
-    if (row[i] <= hi) {
-      if (row[i] >= lo) return row[i];
-      return std::nullopt;
-    }
+  for (int i = seg_len_[static_cast<size_t>(j)] - 1; i-- > 0;) {
+    if (row[i] <= hi) return row[i];
   }
   return std::nullopt;
 }
@@ -276,21 +269,6 @@ SlotSchedule::MinLoad SlotSchedule::scan_min_load_earliest(Slot lo,
   size_t p = 0;
   while (loads_[p] != m) ++p;
   return MinLoad{hi - static_cast<Slot>(b - p), m};
-}
-
-void SlotSchedule::add_load_overlay(Slot s, int delta) {
-  VOD_DCHECK(s > now_ && s <= now_ + window_);
-  VOD_CHECK_MSG(index_, "load overlay on a schedule without an index");
-  const size_t pos = ring_index(s);
-  index_->add(pos, delta);
-  overlay_.emplace_back(pos, delta);
-  ++overlay_ops_;
-}
-
-void SlotSchedule::clear_load_overlay() {
-  VOD_CHECK_MSG(index_, "load overlay on a schedule without an index");
-  for (const auto& [pos, delta] : overlay_) index_->add(pos, -delta);
-  overlay_.clear();
 }
 
 }  // namespace vod

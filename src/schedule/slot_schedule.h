@@ -47,18 +47,12 @@
 // Figure 6 answer, batched over the contiguous load ring — a window
 // decomposes into at most two raw ranges, reduced to their minimum
 // without a branch per slot and then searched for the latest (earliest)
-// slot holding it. Callers running transactional or masked placements
-// (bounded admission, the client-stream-cap variant) can superimpose
-// transient per-slot deltas on the index only via add_load_overlay(); the
-// overlay never touches the real loads and must be cleared before the
-// clock advances. The index queries and the overlay require an index.
+// slot holding it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "schedule/load_index.h"
 #include "schedule/types.h"
@@ -72,7 +66,7 @@ class SlotSchedule {
  public:
   // num_segments: segments are 1..num_segments. window: look-ahead depth.
   // placement_index: build and maintain the range-min placement index
-  // (without it, the index queries and the overlay fail a VOD_CHECK).
+  // (without it, the index queries fail a VOD_CHECK).
   SlotSchedule(int num_segments, int window, bool placement_index = true);
 
   // Slabs point into the member arena: moving is fine (blocks are stable),
@@ -87,9 +81,18 @@ class SlotSchedule {
   // Number of instances scheduled in slot s; s must lie in (now, now+window].
   int load(Slot s) const;
 
-  // Latest scheduled instance of segment j in (lo, hi], if any.
-  // Requires now < lo <= hi <= now + window (callers clamp hi).
-  std::optional<Slot> find_instance(Segment j, Slot lo, Slot hi) const;
+  // Latest scheduled instance of segment j in (now, hi], if any: the
+  // sharing probe of an admission window. Requires now < hi <= now + window
+  // (callers clamp hi). Every live instance lies in the future, so the
+  // latest-instance cache answers in O(1), inline, unless segment j holds a
+  // second future instance past hi (after a clamped or capped admission).
+  std::optional<Slot> find_instance(Segment j, Slot hi) const {
+    VOD_DCHECK(j >= 1 && j <= num_segments_);
+    const Slot latest = latest_[static_cast<size_t>(j)];
+    if (latest == 0) return std::nullopt;
+    if (latest <= hi) return latest;
+    return find_earlier_instance(j, hi);
+  }
 
   // True when segment j has at least one scheduled instance in the window.
   bool has_future_instance(Segment j) const;
@@ -117,12 +120,11 @@ class SlotSchedule {
 
   // Advances the clock by one slot and returns the segments transmitted
   // during the new current slot (its content is final: no request arriving
-  // from now on may schedule into it). Requires an empty overlay. The span
-  // views the vacated ring row: valid until the next mutating call. On an
-  // empty schedule only the clock moves, so an idle step is O(1) and, being
-  // inline, costs the caller no call.
+  // from now on may schedule into it). The span views the vacated ring
+  // row: valid until the next mutating call. On an empty schedule only the
+  // clock moves, so an idle step is O(1) and, being inline, costs the
+  // caller no call.
   std::span<const Segment> advance() VOD_LIFETIMEBOUND {
-    VOD_DCHECK(overlay_.empty());  // no advance() with a live load overlay
     ++now_;
     if (total_ == 0) return {};  // every ring row is already clear
     return vacate_current_row();
@@ -135,7 +137,6 @@ class SlotSchedule {
   void advance_to(Slot s) {
     VOD_CHECK_MSG(total_ == 0, "advance_to on a non-empty schedule");
     VOD_CHECK_MSG(s >= now_, "advance_to behind the clock");
-    VOD_DCHECK(overlay_.empty());
     now_ = s;
   }
 
@@ -146,55 +147,37 @@ class SlotSchedule {
 
   struct MinLoad {
     Slot slot = 0;
-    int load = 0;  // includes any overlay deltas on the winning slot
+    int load = 0;
   };
 
   // True when the schedule keeps the range-min placement index.
   bool has_placement_index() const { return index_.has_value(); }
 
-  // Slot of minimum load (plus overlay) in [lo, hi], ties broken toward
-  // the latest / earliest slot — exactly the linear hi→lo / lo→hi scans of
-  // Figure 6. Requires now < lo <= hi <= now + window and an index.
+  // Slot of minimum load in [lo, hi], ties broken toward the latest /
+  // earliest slot — exactly the linear hi→lo / lo→hi scans of Figure 6.
+  // Requires now < lo <= hi <= now + window and an index.
   MinLoad min_load_latest(Slot lo, Slot hi) const;
   MinLoad min_load_earliest(Slot lo, Slot hi) const;
 
   // --- Batched window probes (O(width), naive reference path) ----------
 
-  // The Figure 6 scans over the RAW load counters (no overlay, no index),
-  // answered by probing the contiguous load ring directly: the window maps
-  // to at most two raw ranges, whose minimum a branch-free reduction finds
-  // (GCC vectorizes it at -O3 without -march); a search from the hi (lo)
-  // end then returns the first slot holding it. Decision-identical to
-  // min_load_latest / min_load_earliest without an overlay — the naive
-  // reference path the differential fuzzer cross-checks, and the
-  // placement path of videos below the index cutover
+  // The Figure 6 scans without the index, answered by probing the
+  // contiguous load ring directly: the window maps to at most two raw
+  // ranges, whose minimum a branch-free reduction finds (GCC vectorizes it
+  // at -O3 without -march); a search from the hi (lo) end then returns the
+  // first slot holding it. Decision-identical to min_load_latest /
+  // min_load_earliest — the naive reference path the differential fuzzer
+  // cross-checks, and the placement path of videos below the index cutover
   // (DhbConfig::placement_index_cutover).
   MinLoad scan_min_load_latest(Slot lo, Slot hi) const;
   MinLoad scan_min_load_earliest(Slot lo, Slot hi) const;
 
-  // Adds a transient per-slot delta to the placement index only: the real
-  // load counters, ring, and per-segment index are untouched. Used for the
-  // tentative placements of a transactional (bounded) admission and for
-  // masking client-saturated slots in the capped variant. Requires an
-  // index.
-  void add_load_overlay(Slot s, int delta);
-
-  // Removes every overlay delta, restoring the index to the real loads.
-  // Requires an index.
-  void clear_load_overlay();
-
-  bool has_load_overlay() const { return !overlay_.empty(); }
-
   // --- Lifetime operation accounting (observability) -------------------
   // Raw structural-op counts the scheduler exports as schedule_* metrics
   // (the clock, now(), counts the advances). Monotone over the schedule's
-  // lifetime; never read on a decision path. The index counters read 0 on
+  // lifetime; never read on a decision path. The index counter reads 0 on
   // a schedule without an index.
   uint64_t total_instances_added() const { return instances_added_; }
-  uint64_t total_overlay_ops() const { return overlay_ops_; }
-  uint64_t total_index_queries() const {
-    return index_ ? index_->total_queries() : 0;
-  }
   uint64_t total_index_updates() const {
     return index_ ? index_->total_updates() : 0;
   }
@@ -234,6 +217,10 @@ class SlotSchedule {
   void grow_contents();
   void grow_segments();
 
+  // find_instance() when segment j's latest instance lies past hi: the
+  // latest earlier entry of its row that is <= hi.
+  std::optional<Slot> find_earlier_instance(Segment j, Slot hi) const;
+
   // advance() on a non-empty schedule: empties the new current slot's ring
   // row and drops its instances from their segment rows.
   std::span<const Segment> vacate_current_row() VOD_LIFETIMEBOUND;
@@ -257,10 +244,8 @@ class SlotSchedule {
   size_t seg_cap_;            // per-segment row stride
   Slot* latest_ = nullptr;    // [num_segments_+1] latest slot, 0 none
 
-  std::optional<LoadIndex> index_;  // range-min over loads_ + overlay
-  std::vector<std::pair<size_t, int>> overlay_;  // applied (pos, delta) pairs
-  uint64_t instances_added_ = 0;                 // lifetime op meters
-  uint64_t overlay_ops_ = 0;
+  std::optional<LoadIndex> index_;  // range-min over loads_
+  uint64_t instances_added_ = 0;    // lifetime op meters
   uint64_t slab_grows_ = 0;
 };
 

@@ -68,6 +68,10 @@ AdaptiveVideo::AdaptiveVideo(const AdaptiveVideoConfig& config,
   VOD_CHECK_MSG(mapping_ != nullptr, "adaptive video needs an NPB mapping");
   VOD_CHECK_MSG(mapping_->num_segments() == config_.num_segments,
                 "static mapping segment count mismatch");
+  // NPB's stride(s) <= s puts S_1 in every slot: the static rung's startup
+  // wait is one slot (on_slot_arrivals()).
+  VOD_CHECK_MSG(mapping_->period_of(1) == 1,
+                "the static mapping must transmit S_1 every slot");
   VOD_CHECK_MSG(controller_.num_modes() == 3,
                 "the adaptive ladder has exactly three rungs "
                 "(reactive / dhb / static)");
@@ -223,25 +227,12 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
       last_static_arrival_ = now_;
       has_static_clients_ = true;
       if (qoe != nullptr) {
-        // Startup wait under the broadcast: the first slot after now_ that
-        // carries segment 1. The NPB guarantee bounds the scan — segment 1
-        // appears in every period_of(1)-slot window — so this is O(P1 ×
-        // streams) with P1 tiny, and a broadcast never misses a deadline
-        // (that is the mapping's defining property), so continuity is
-        // perfect by construction.
-        const Slot p1 = static_cast<Slot>(static_periods_[0]);
-        Slot wait = p1;
-        for (Slot w = 1; w <= p1; ++w) {
-          bool found = false;
-          for (int r = 0; r < mapping_->streams() && !found; ++r) {
-            found = mapping_->segment_at(r, now_ + w) == 1;
-          }
-          if (found) {
-            wait = w;
-            break;
-          }
-        }
-        qoe->record_admission(count, now_, static_cast<double>(wait), 0,
+        // Startup wait under the broadcast: S_1 goes out every slot
+        // (checked at construction), so playback starts one slot after any
+        // arrival; and a broadcast never misses a deadline (that is the
+        // mapping's defining property), so continuity is perfect by
+        // construction.
+        qoe->record_admission(count, now_, 1.0, 0,
                               static_cast<uint64_t>(config_.num_segments));
       }
       if (probe_ != nullptr) {

@@ -7,6 +7,8 @@
 #include "analysis/schedule_auditor.h"
 #include "analysis/transition_auditor.h"
 #include "obs/metrics.h"
+#include "obs/qoe.h"
+#include "obs/trace.h"
 #include "protocols/npb.h"
 
 namespace vod {
@@ -196,6 +198,47 @@ TEST(AdaptiveVideo, InitialStaticRungBroadcastsFromSlotOne) {
       static_cast<int>(ServingMode::kStatic);
   AdaptiveVideo av(c, &mapping_for(9));
   EXPECT_EQ(av.advance_slot(), mapping_for(9).streams());
+}
+
+TEST(AdaptiveVideo, StaticRungStartupWaitIsOneSlot) {
+  // NPB transmits S_1 every slot, so every request on the static rung
+  // starts playback one slot after its arrival and misses no deadline.
+  AdaptiveVideoConfig c = config_for(9);
+  c.controller.initial_mode = static_cast<int>(ServingMode::kStatic);
+  c.controller.min_mode = c.controller.max_mode =
+      static_cast<int>(ServingMode::kStatic);
+  AdaptiveVideo av(c, &mapping_for(9));
+  obs::QoeShard qoe;
+  obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+  uint64_t requests = 0;
+  {
+    obs::ScopedObsSink scoped(&sink);
+    for (int i = 0; i < 40; ++i) {
+      av.advance_slot();
+      const uint64_t arrivals = static_cast<uint64_t>(i % 4);
+      av.on_slot_arrivals(arrivals);
+      requests += arrivals;
+    }
+  }
+  EXPECT_EQ(av.mode(), ServingMode::kStatic);
+#ifndef VOD_OBSERVE_DISABLED
+  ASSERT_EQ(qoe.total_requests(), requests);
+  // The waits sum to one slot per request, and no bucket's worst wait
+  // exceeds one slot: every wait is exactly one slot.
+  double wait_sum = 0.0;
+  for (const auto& [key, group] : qoe.groups()) {
+    EXPECT_EQ(key.rung, static_cast<int32_t>(ServingMode::kStatic));
+    EXPECT_EQ(group.late_segments, 0u);
+    wait_sum += group.wait.sum();
+    const std::vector<uint64_t>& bins = group.wait.histogram().bins();
+    for (size_t b = 0; b < bins.size(); ++b) {
+      if (bins[b] > 0) {
+        EXPECT_EQ(group.wait.exemplars()[b].value, 1.0);
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(wait_sum, static_cast<double>(requests));
+#endif
 }
 
 TEST(AdaptiveVideo, FastAndNaiveAdmissionPathsAreBitIdentical) {

@@ -72,13 +72,15 @@ TEST(AllocAudit, UncappedSteadySlotsAreAllocationFree) {
 }
 
 TEST(AllocAudit, CappedSteadySlotsAreAllocationFree) {
-  // The capped variant exercises the per-admission scratch arrays
-  // (client_load) and the overlay machinery: the scratch arena must warm
-  // up once and then recycle the same blocks under mark/rewind/reset.
+  // The capped variant exercises the per-admission scratch array
+  // (client_load) and the capped window scans, on a schedule below the
+  // index cutover: the scratch arena must warm up once and then recycle
+  // the same blocks under mark/rewind/reset.
   DhbConfig config;
   config.num_segments = 40;
   config.client_stream_cap = 3;
   DhbScheduler dhb(config);
+  ASSERT_FALSE(dhb.placement_index_active());
 
   run_slots(&dhb, 200, 0);
 
@@ -86,6 +88,30 @@ TEST(AllocAudit, CappedSteadySlotsAreAllocationFree) {
   run_slots(&dhb, 150, 1);
   EXPECT_EQ(g_heap_allocations.load() - heap_before, 0u)
       << "capped steady-state slots reached the system allocator";
+}
+
+TEST(AllocAudit, CappedIndexedSteadySlotsAreAllocationFree) {
+  // n = 200 clears the default index cutover: capped placements still
+  // scan, while every placed instance and every advance also updates the
+  // range-min index. That upkeep must allocate nothing either.
+  DhbConfig config;
+  config.num_segments = 200;
+  config.client_stream_cap = 3;
+  DhbScheduler dhb(config);
+  ASSERT_TRUE(dhb.placement_index_active());
+
+  run_slots(&dhb, 600, 0);
+
+  const uint64_t slab_grows = dhb.schedule().total_slab_grows();
+  const uint64_t arena_blocks = dhb.schedule().total_arena_blocks();
+  const uint64_t heap_before = g_heap_allocations.load();
+  run_slots(&dhb, 200, 1);
+  EXPECT_EQ(g_heap_allocations.load() - heap_before, 0u)
+      << "capped indexed steady-state slots reached the system allocator";
+  EXPECT_EQ(dhb.schedule().total_slab_grows(), slab_grows)
+      << "a slab re-layout happened after warmup";
+  EXPECT_EQ(dhb.schedule().total_arena_blocks(), arena_blocks)
+      << "the schedule arena acquired a new block after warmup";
 }
 
 TEST(AllocAudit, WarmupItselfIsBounded) {

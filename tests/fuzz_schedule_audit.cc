@@ -197,11 +197,10 @@ void run_mode_diff(const FuzzConfig& fc, uint64_t* checked) {
   // operation trace both schedulers consume.
   Rng probe_rng(fc.seed * 31 + 11);
 
-  // Slab-layout probe: with no overlay live, the batched raw-ring scans
-  // must reproduce the indexed range-min bit for bit on every scheduler
-  // whose schedule keeps an index (the fast side: cutover 0) — the
-  // O(width) naive reference path and the O(log W) index are two readers
-  // of the same flat slabs.
+  // Slab-layout probe: the batched raw-ring scans must reproduce the
+  // indexed range-min bit for bit on every scheduler whose schedule keeps
+  // an index (the fast side: cutover 0) — the O(width) naive reference
+  // path and the O(log W) index are two readers of the same flat slabs.
   const auto probe_slabs = [&](const DhbScheduler& d) {
     const SlotSchedule& sched = d.schedule();
     if (!sched.has_placement_index()) return;

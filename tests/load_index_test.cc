@@ -1,7 +1,7 @@
 // Unit tests for the range-min placement index (schedule/load_index.h) and
 // its integration into SlotSchedule: tie-break directions, ring wraparound,
-// advance-time eviction, overlay deltas, and a randomized differential
-// against the literal linear scans.
+// advance-time eviction, and a randomized differential against the literal
+// linear scans.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -172,29 +172,6 @@ TEST(SlotScheduleMinLoad, AdvanceEvictsLoadsAndLatestCache) {
   EXPECT_EQ(s.latest_instance(7), 0);  // evicted: cache reset
   EXPECT_FALSE(s.has_future_instance(7));
   EXPECT_EQ(s.total_scheduled(), 0);
-}
-
-TEST(SlotScheduleMinLoad, OverlayShiftsQueriesOnly) {
-  SlotSchedule s(10, 4);
-  s.add_instance(1, 2);  // loads 1..4: 0 1 0 0
-  EXPECT_EQ(s.min_load_latest(1, 4).slot, 4);
-  EXPECT_FALSE(s.has_load_overlay());
-
-  s.add_load_overlay(4, 5);
-  s.add_load_overlay(3, 5);
-  EXPECT_TRUE(s.has_load_overlay());
-  // Queries see 0 6 5 5: the min moves to slot 1...
-  const SlotSchedule::MinLoad m = s.min_load_latest(1, 4);
-  EXPECT_EQ(m.slot, 1);
-  EXPECT_EQ(m.load, 0);
-  // ...but the real loads are untouched.
-  EXPECT_EQ(s.load(3), 0);
-  EXPECT_EQ(s.load(4), 0);
-
-  s.clear_load_overlay();
-  EXPECT_FALSE(s.has_load_overlay());
-  EXPECT_EQ(s.min_load_latest(1, 4).slot, 4);
-  EXPECT_EQ(s.min_load_latest(1, 4).load, 0);
 }
 
 TEST(SlotScheduleMinLoad, RandomDifferentialAcrossAdvances) {

@@ -5,12 +5,11 @@
 // contiguous position ranges, and the tie-break has to prefer the *late*
 // range even though its ring positions are numerically smaller. These
 // tests sweep every small ring size exhaustively — every seam position,
-// every (lo, hi) window, overlays on and off — against the literal linear
-// scan the paper's Figure 6 specifies. tests/load_index_test.cc covers
+// every (lo, hi) window — against the literal linear scan the paper's
+// Figure 6 specifies. tests/load_index_test.cc covers
 // the directed cases; this file is the exhaustive small-space property.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -68,14 +67,12 @@ TEST(LoadIndexWrap, ExhaustiveSmallRingsAgainstNaiveScan) {
   }
 }
 
-// Reference for SlotSchedule: scan load() + overlay over slots [lo, hi].
-SlotSchedule::MinLoad naive_window_min(
-    const SlotSchedule& s, const std::map<Slot, int>& overlay, Slot lo,
-    Slot hi, bool latest) {
+// Reference for SlotSchedule: scan load() over slots [lo, hi].
+SlotSchedule::MinLoad naive_window_min(const SlotSchedule& s, Slot lo,
+                                       Slot hi, bool latest) {
   SlotSchedule::MinLoad out;
   for (Slot t = lo; t <= hi; ++t) {
-    const auto it = overlay.find(t);
-    const int load = s.load(t) + (it == overlay.end() ? 0 : it->second);
+    const int load = s.load(t);
     if (out.slot == 0 || load < out.load || (latest && load == out.load)) {
       out.slot = t;
       out.load = load;
@@ -89,15 +86,13 @@ TEST(SlotScheduleWrap, SeamSweepEveryWindowEveryOffset) {
   // (2, 4, 8, 16 here — window 9 crosses into a 16-ring, exercising the
   // mask with real padding positions), so the sweep advances 0..2*ring of
   // the ACTUAL ring size to park the wrap seam at every offset. Then lay
-  // down random instances and check every admissible (lo, hi) window —
-  // with and without overlay deltas — against the naive scan: the full
-  // cross product of (ring size) x (seam position) x (query window). The
-  // batched raw-ring probes (scan_min_load_latest / _earliest) are checked
-  // in the same sweep against the overlay-free naive scan, which they must
-  // reproduce regardless of any live overlay. Wider windows run those
-  // probes' vectorized minimum over whole vectors plus a scalar tail, on
-  // both sides of the seam; they park it at offsets 0, 1, ring/2 and
-  // ring - 1 only.
+  // down random instances and check every admissible (lo, hi) window
+  // against the naive scan: the full cross product of (ring size) x (seam
+  // position) x (query window). The batched raw-ring probes
+  // (scan_min_load_latest / _earliest) are checked in the same sweep.
+  // Wider windows run those probes' vectorized minimum over whole vectors
+  // plus a scalar tail, on both sides of the seam; they park it at offsets
+  // 0, 1, ring/2 and ring - 1 only.
   const int windows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 99, 127};
   for (const int window : windows) {
     int ring = 1;
@@ -126,55 +121,31 @@ TEST(SlotScheduleWrap, SeamSweepEveryWindowEveryOffset) {
         s.add_instance(j, slot);
       }
 
-      for (int with_overlay = 0; with_overlay <= 1; ++with_overlay) {
-        std::map<Slot, int> overlay;
-        if (with_overlay) {
-          // A few transient deltas, including on the seam-adjacent slots.
-          const int n = 1 + static_cast<int>(rng.uniform_index(3));
-          for (int i = 0; i < n; ++i) {
-            const Slot slot =
-                s.now() + 1 + static_cast<Slot>(rng.uniform_index(window));
-            const int delta = 1 + static_cast<int>(rng.uniform_index(3));
-            s.add_load_overlay(slot, delta);
-            overlay[slot] += delta;
-          }
-        }
-        for (Slot lo = s.now() + 1; lo <= s.now() + window; ++lo) {
-          for (Slot hi = lo; hi <= s.now() + window; ++hi) {
-            const SlotSchedule::MinLoad want_l =
-                naive_window_min(s, overlay, lo, hi, true);
-            const SlotSchedule::MinLoad want_e =
-                naive_window_min(s, overlay, lo, hi, false);
-            const SlotSchedule::MinLoad got_l = s.min_load_latest(lo, hi);
-            const SlotSchedule::MinLoad got_e = s.min_load_earliest(lo, hi);
-            ASSERT_EQ(got_l.slot, want_l.slot)
-                << "window " << window << " advances " << advances
-                << " overlay " << with_overlay << " [" << lo << "," << hi
-                << "]";
-            ASSERT_EQ(got_l.load, want_l.load);
-            ASSERT_EQ(got_e.slot, want_e.slot);
-            ASSERT_EQ(got_e.load, want_e.load);
+      for (Slot lo = s.now() + 1; lo <= s.now() + window; ++lo) {
+        for (Slot hi = lo; hi <= s.now() + window; ++hi) {
+          const SlotSchedule::MinLoad want_l =
+              naive_window_min(s, lo, hi, true);
+          const SlotSchedule::MinLoad want_e =
+              naive_window_min(s, lo, hi, false);
+          const SlotSchedule::MinLoad got_l = s.min_load_latest(lo, hi);
+          const SlotSchedule::MinLoad got_e = s.min_load_earliest(lo, hi);
+          ASSERT_EQ(got_l.slot, want_l.slot)
+              << "window " << window << " advances " << advances << " ["
+              << lo << "," << hi << "]";
+          ASSERT_EQ(got_l.load, want_l.load);
+          ASSERT_EQ(got_e.slot, want_e.slot);
+          ASSERT_EQ(got_e.load, want_e.load);
 
-            // The batched probes scan the RAW load counters: identical to
-            // the naive scan with no overlay, overlay or not.
-            const std::map<Slot, int> no_overlay;
-            const SlotSchedule::MinLoad want_raw_l =
-                naive_window_min(s, no_overlay, lo, hi, true);
-            const SlotSchedule::MinLoad want_raw_e =
-                naive_window_min(s, no_overlay, lo, hi, false);
-            const SlotSchedule::MinLoad scan_l =
-                s.scan_min_load_latest(lo, hi);
-            const SlotSchedule::MinLoad scan_e =
-                s.scan_min_load_earliest(lo, hi);
-            ASSERT_EQ(scan_l.slot, want_raw_l.slot)
-                << "raw scan, window " << window << " advances " << advances
-                << " [" << lo << "," << hi << "]";
-            ASSERT_EQ(scan_l.load, want_raw_l.load);
-            ASSERT_EQ(scan_e.slot, want_raw_e.slot);
-            ASSERT_EQ(scan_e.load, want_raw_e.load);
-          }
+          const SlotSchedule::MinLoad scan_l = s.scan_min_load_latest(lo, hi);
+          const SlotSchedule::MinLoad scan_e =
+              s.scan_min_load_earliest(lo, hi);
+          ASSERT_EQ(scan_l.slot, want_l.slot)
+              << "raw scan, window " << window << " advances " << advances
+              << " [" << lo << "," << hi << "]";
+          ASSERT_EQ(scan_l.load, want_l.load);
+          ASSERT_EQ(scan_e.slot, want_e.slot);
+          ASSERT_EQ(scan_e.load, want_e.load);
         }
-        if (with_overlay) s.clear_load_overlay();
       }
     }
   }

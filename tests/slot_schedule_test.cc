@@ -28,19 +28,27 @@ TEST(SlotSchedule, AddInstanceUpdatesLoadAndIndex) {
 TEST(SlotSchedule, FindInstanceRespectsRange) {
   SlotSchedule s(5, 5);
   s.add_instance(2, 3);
-  EXPECT_EQ(s.find_instance(2, 1, 5).value(), 3);
-  EXPECT_EQ(s.find_instance(2, 3, 3).value(), 3);
-  EXPECT_FALSE(s.find_instance(2, 4, 5).has_value());
-  EXPECT_FALSE(s.find_instance(2, 1, 2).has_value());
-  EXPECT_FALSE(s.find_instance(1, 1, 5).has_value());
+  EXPECT_EQ(s.find_instance(2, 5).value(), 3);
+  EXPECT_EQ(s.find_instance(2, 3).value(), 3);
+  EXPECT_FALSE(s.find_instance(2, 2).has_value());
+  EXPECT_FALSE(s.find_instance(1, 5).has_value());
 }
 
+// With a second future instance, a window that ends before the latest one
+// finds the earlier instance in the segment's row, and one that ends
+// before both finds none.
 TEST(SlotSchedule, FindInstanceReturnsLatest) {
   SlotSchedule s(5, 10);
   s.add_instance(2, 3);
   s.add_instance(2, 7);
-  EXPECT_EQ(s.find_instance(2, 1, 10).value(), 7);
-  EXPECT_EQ(s.find_instance(2, 1, 5).value(), 3);
+  EXPECT_EQ(s.find_instance(2, 10).value(), 7);
+  EXPECT_EQ(s.find_instance(2, 5).value(), 3);
+  EXPECT_FALSE(s.find_instance(2, 2).has_value());
+  s.advance();
+  s.advance();
+  s.advance();  // slot 3 transmits: only the instance in slot 7 is left
+  EXPECT_FALSE(s.find_instance(2, 6).has_value());
+  EXPECT_EQ(s.find_instance(2, 7).value(), 7);
 }
 
 TEST(SlotSchedule, AdvanceReturnsSlotContents) {
@@ -119,7 +127,7 @@ TEST(SlotScheduleDeath, RejectsOutOfWindow) {
 }
 
 // A schedule built without the placement index keeps the slabs and the
-// naive scans; the index queries and the overlay refuse to run.
+// naive scans; the index queries refuse to run.
 TEST(SlotScheduleDeath, IndexQueriesNeedAnIndex) {
   SlotSchedule s(5, 5, /*placement_index=*/false);
   EXPECT_FALSE(s.has_placement_index());
@@ -130,8 +138,6 @@ TEST(SlotScheduleDeath, IndexQueriesNeedAnIndex) {
   EXPECT_EQ(s.scan_min_load_latest(3, 6).slot, 6);
   EXPECT_DEATH(s.min_load_latest(3, 6), "without an index");
   EXPECT_DEATH(s.min_load_earliest(3, 6), "without an index");
-  EXPECT_DEATH(s.add_load_overlay(4, 1), "without an index");
-  EXPECT_DEATH(s.clear_load_overlay(), "without an index");
 }
 
 }  // namespace
