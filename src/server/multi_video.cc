@@ -12,7 +12,7 @@
 #include "sim/arrival_process.h"
 #include "sim/stats.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace vod {
 namespace {
@@ -27,12 +27,11 @@ constexpr int kShardSize = 64;
 // locks here by design. CatalogPlan and the ZipfDistribution are frozen
 // before the workers start and shared read-only; each worker writes one
 // ShardResult and one observer shard that no other thread touches until
-// the join; the merge runs after the join, single-threaded, in shard
-// order. The compile-time half of the contract lives in the primitives
-// (ThreadPool's annotated mutex, util/thread_annotations.h); the runtime
-// half is the VOD_DCHECK_SERIAL single-writer checks inside DhbScheduler,
-// MetricShard, and TraceBuffer, which fire in Debug builds if any code
-// change ever makes two workers share one of these.
+// the join (parallel_for hands out each shard index exactly once); the
+// merge runs after the join, single-threaded, in shard order. The
+// VOD_DCHECK_SERIAL single-writer checks inside DhbScheduler, MetricShard,
+// and TraceBuffer fire in Debug builds if any code change ever makes two
+// workers share one of these.
 
 // Everything a shard kernel needs, shared read-only across workers.
 struct CatalogPlan {
@@ -423,14 +422,8 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
                    &shards[static_cast<size_t>(s)]);
   };
 
-  const int threads =
-      std::min(resolve_num_threads(config.num_threads), num_shards);
-  if (threads <= 1) {
-    for (int s = 0; s < num_shards; ++s) run_shard(s);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(num_shards, run_shard);
-  }
+  parallel_for(std::min(resolve_num_threads(config.num_threads), num_shards),
+               num_shards, run_shard);
 
   // Deterministic merge: shard slot-series are aligned (every shard spans
   // the same measured slots), so summing them in shard order rebuilds the

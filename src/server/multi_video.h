@@ -26,7 +26,7 @@
 // Execution model. Poisson thinning makes the per-video request streams
 // *independent* Poisson processes of rate λ·p_v, so the catalog shards
 // cleanly: the engine cuts the ranks into fixed-size contiguous shards,
-// simulates each shard's videos on a worker pool (each video drawing its
+// simulates each shard's videos on worker threads (each video drawing its
 // arrivals from its own RNG substream, rng.fork(rank + 1)), and merges the
 // per-shard per-slot stream totals in shard order. Because the shard
 // decomposition and the merge order never depend on the thread count, the
@@ -105,8 +105,10 @@ struct MultiVideoConfig {
   std::vector<double> per_video_rate_kbs;
 
   // Worker threads for the sharded engine: 1 runs every shard inline on
-  // the calling thread (the sequential path), n >= 2 uses a ThreadPool of
-  // n workers, 0 means auto (one per hardware thread). The result is
+  // the calling thread (the sequential path), n >= 2 starts n workers
+  // that claim shards in ascending order while the caller waits, 0 means
+  // auto (one per hardware thread). The count is capped at the number of
+  // shards and at kMaxThreads (util/parallel_for.h). The result is
   // bit-identical across all values for a fixed seed.
   int num_threads = 1;
 

@@ -11,21 +11,14 @@
 // Under other compilers the macros expand to nothing and the wrappers
 // below are zero-cost veneers over the std primitives.
 //
-// Locked code in this library therefore uses vod::Mutex / vod::MutexLock /
-// vod::CondVar instead of the bare std types: std::mutex carries no
-// annotations, so the analysis cannot follow it. The wrappers add nothing
-// else — no fairness, no recursion, no timed waits — because nothing here
-// needs them (DESIGN.md §11).
-//
-// Condition-variable idiom under the analysis: predicate *lambdas* passed
-// to wait() are analyzed as separate functions with no lock context and
-// would warn on every guarded read, so annotated code spells the loop out:
-//
-//   MutexLock lock(mutex_);
-//   while (!ready_) cv_.wait(lock);   // reads of ready_ checked, in scope
+// Locked code in this library therefore uses vod::Mutex / vod::MutexLock
+// instead of the bare std types: std::mutex carries no annotations, so the
+// analysis cannot follow it. The wrappers add nothing else — no fairness,
+// no recursion, no timed waits, no condition variable — because nothing
+// here needs them (DESIGN.md §11). The flight-recorder registry
+// (obs/flight_recorder.cc) is the reference user.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 // Attribute plumbing. Thread safety attributes are a clang extension; the
@@ -72,8 +65,6 @@
 
 namespace vod {
 
-class CondVar;
-
 // Annotated exclusive mutex. Prefer MutexLock over manual lock()/unlock().
 class VOD_CAPABILITY("mutex") Mutex {
  public:
@@ -90,7 +81,7 @@ class VOD_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// RAII scope lock over a Mutex; the form CondVar::wait() accepts.
+// RAII scope lock over a Mutex.
 class VOD_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) VOD_ACQUIRE(mu) : lock_(mu.mu_) {}
@@ -100,27 +91,7 @@ class VOD_SCOPED_CAPABILITY MutexLock {
   MutexLock& operator=(const MutexLock&) = delete;
 
  private:
-  friend class CondVar;
-  std::unique_lock<std::mutex> lock_;
-};
-
-// Condition variable paired with Mutex/MutexLock. wait() atomically
-// releases and reacquires the lock held by `lock` (invisible to the
-// analysis, which treats the capability as held across the call — exactly
-// the guarantee the caller observes on both sides of the wait). Callers
-// re-test their predicate in a while loop, spelled out (see header note).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
+  std::lock_guard<std::mutex> lock_;
 };
 
 }  // namespace vod

@@ -9,7 +9,8 @@
 //   * diffs the transmitted schedule — and each admitted client's
 //     reception plan — against NaiveOracle (naive_oracle.h), a brute-force
 //     re-derivation of the Figure 6 algorithm (generalized to ranges,
-//     heuristics, and bounded admission) on naive data structures.
+//     heuristics, client caps, and bounded admission) on naive data
+//     structures.
 //
 // The acceptance bar (ISSUE 1): >= 10k audited steps, >= 3 heuristics,
 // >= 2 period vectors, zero violations, zero divergences.
@@ -55,8 +56,8 @@ struct FuzzConfig {
   uint64_t seed = 1;
   bool mixed_ops = false;     // resumes + ranges (clamped windows)
   int bounded_cap = 0;        // >0: use on_request_bounded for full requests
-  int client_stream_cap = 0;  // >0: capped-client variant (audit only)
-  bool diff_oracle = true;    // false for kRandom / capped configs
+  int client_stream_cap = 0;  // >0: capped-client variant
+  bool diff_oracle = true;    // false for kRandom
 };
 
 // Runs one fuzzed trace; adds every audited step to *audited and, when
@@ -143,7 +144,17 @@ void run_fuzz(const FuzzConfig& fc, uint64_t* audited,
         if (fc.client_stream_cap == 0) {
           ASSERT_EQ(got.cap_violations, 0);
         }
-        if (fc.diff_oracle) {
+        if (fc.diff_oracle && fc.client_stream_cap > 0) {
+          const NaiveOracle::Admission want =
+              oracle.admit_capped(first, last, fc.client_stream_cap);
+          ASSERT_EQ(got.plan.reception_slot, want.receptions)
+              << "capped plan divergence at slot " << dhb.current_slot()
+              << " for range " << first << ".." << last << " (cap "
+              << fc.client_stream_cap << ", seed " << fc.seed << ")";
+          ASSERT_EQ(got.new_instances, want.new_instances);
+          ASSERT_EQ(got.shared_instances, want.shared_instances);
+          ASSERT_EQ(got.cap_violations, want.cap_violations);
+        } else if (fc.diff_oracle) {
           const std::vector<Slot> want = oracle.admit_range(first, last);
           ASSERT_EQ(got.plan.reception_slot, want)
               << "plan divergence at slot " << dhb.current_slot()
@@ -172,7 +183,9 @@ std::vector<int> tight_periods() {
 // vector (exact order, not sorted — the fast path must not even reorder
 // ring insertions), and every logical counter must match bit for bit.
 // Unlike the NaiveOracle diff this also covers kRandom (both sides consume
-// identical rng streams) and the capped-client variant.
+// identical rng streams). Capped placements scan in both modes, so there
+// it shows only that the fast-path knobs leave them alone; run_fuzz diffs
+// their slot choices against NaiveOracle::admit_capped.
 void run_mode_diff(const FuzzConfig& fc, uint64_t* checked) {
   DhbConfig base;
   base.num_segments = fc.num_segments;
@@ -411,16 +424,46 @@ TEST(FuzzScheduleAudit, RandomHeuristicAuditOnly) {
   EXPECT_GE(audited, 1000u);
 }
 
-TEST(FuzzScheduleAudit, CappedClientAuditOnly) {
-  FuzzConfig fc;
-  fc.client_stream_cap = 2;
-  fc.diff_oracle = false;  // capped placement has no naive twin here
-  fc.arrivals_per_slot = 1.5;
-  fc.seed = 500;
-  fc.slots = 400;
+// Capped placements diffed decision by decision against
+// NaiveOracle::admit_capped. Under CBR periods at cap 1 every segment has
+// exactly one open slot; work-ahead periods leave ties to break, and tight
+// periods (T[j] < j) overflow the cap, so the uncapped fallback runs. The
+// last pass pins that the capped rule ignores the configured heuristic.
+TEST(FuzzScheduleAudit, CappedClientAgainstOracle) {
+  const std::vector<std::vector<int>> period_vectors = {
+      {}, work_ahead_periods(), tight_periods()};
   uint64_t audited = 0;
-  run_fuzz(fc, &audited);
-  EXPECT_GE(audited, 800u);
+  uint64_t seed = 500;
+  for (int cap : {1, 2}) {
+    for (const std::vector<int>& periods : period_vectors) {
+      FuzzConfig fc;
+      fc.client_stream_cap = cap;
+      fc.periods = periods;
+      fc.arrivals_per_slot = 1.5;
+      fc.seed = ++seed;
+      fc.slots = 300;
+      run_fuzz(fc, &audited);
+      if (testing::Test::HasFailure()) return;
+    }
+    FuzzConfig mixed;
+    mixed.client_stream_cap = cap;
+    mixed.periods = work_ahead_periods();
+    mixed.mixed_ops = true;
+    mixed.arrivals_per_slot = 1.5;
+    mixed.seed = ++seed;
+    mixed.slots = 300;
+    run_fuzz(mixed, &audited);
+    if (testing::Test::HasFailure()) return;
+  }
+  FuzzConfig earliest;
+  earliest.client_stream_cap = 2;
+  earliest.heuristic = SlotHeuristic::kEarliest;
+  earliest.periods = work_ahead_periods();
+  earliest.arrivals_per_slot = 1.5;
+  earliest.seed = ++seed;
+  earliest.slots = 300;
+  run_fuzz(earliest, &audited);
+  EXPECT_GE(audited, 4000u);
 }
 
 TEST(FuzzModeDiff, AllHeuristicsAllPeriodVectors) {

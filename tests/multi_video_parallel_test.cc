@@ -1,6 +1,6 @@
 // Determinism of the sharded multi-video engine: for a fixed seed, the
 // MultiVideoResult must be bit-identical at every thread count — the shard
-// decomposition and merge order are fixed, so the worker pool only changes
+// decomposition and merge order are fixed, so the worker count only changes
 // wall-clock, never a single bit of output.
 #include <gtest/gtest.h>
 

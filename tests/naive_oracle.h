@@ -18,9 +18,18 @@ namespace vod {
 
 // The Figure 6 algorithm on a plain map, generalized the same way the
 // production scheduler is: clamped windows for mid-video joins, pluggable
-// deterministic slot heuristics, and two-phase channel-bounded admission.
+// deterministic slot heuristics, client-capped admission, and two-phase
+// channel-bounded admission.
 class NaiveOracle {
  public:
+  // What one admission reports: DhbRequestResult's plan and tallies.
+  struct Admission {
+    std::vector<Slot> receptions;  // index 0 = the first admitted segment
+    int new_instances = 0;
+    int shared_instances = 0;
+    int cap_violations = 0;
+  };
+
   NaiveOracle(int n, std::vector<int> periods, SlotHeuristic heuristic)
       : n_(n), periods_(std::move(periods)), heuristic_(heuristic) {
     if (periods_.empty()) {
@@ -43,6 +52,51 @@ class NaiveOracle {
       receptions.push_back(chosen);
     }
     return receptions;
+  }
+
+  // Mirrors a DhbScheduler with client_stream_cap = cap > 0, whose client
+  // receives at most `cap` segments in one slot. Per segment, whatever the
+  // configured heuristic:
+  //   1. share the latest in-window instance in a slot where the client
+  //      still has capacity;
+  //   2. else place a new instance at the min-load-latest slot among the
+  //      slots where the client still has capacity;
+  //   3. else apply the uncapped rule (share the latest in-window instance,
+  //      else place at the min-load-latest slot) and count a violation.
+  Admission admit_capped(Segment first, Segment last, int cap) {
+    Admission out;
+    std::map<Slot, int> client;  // this client's receptions per slot
+    const auto has_capacity = [&client, cap](Slot s) {
+      const auto it = client.find(s);
+      return it == client.end() || it->second < cap;
+    };
+    for (Segment j = first; j <= last; ++j) {
+      const Slot lo = now_ + 1;
+      const Slot hi = now_ + period_for(j, first);
+      Slot chosen = find_shared(j, lo, hi, has_capacity);
+      bool is_new = false;
+      if (chosen == 0) {
+        chosen = min_load_latest(lo, hi, has_capacity);
+        is_new = chosen != 0;
+      }
+      if (chosen == 0) {
+        ++out.cap_violations;
+        chosen = find_shared(j, lo, hi);
+        if (chosen == 0) {
+          chosen = min_load_latest(lo, hi, [](Slot) { return true; });
+          is_new = true;
+        }
+      }
+      if (is_new) {
+        slots_[chosen].push_back(j);
+        ++out.new_instances;
+      } else {
+        ++out.shared_instances;
+      }
+      ++client[chosen];
+      out.receptions.push_back(chosen);
+    }
+    return out;
   }
 
   // Mirrors DhbScheduler::on_request_bounded: all-or-nothing admission
@@ -98,13 +152,34 @@ class NaiveOracle {
   // Latest already-scheduled instance of j in [lo, hi], 0 when none — the
   // same sharing rule SlotSchedule::find_instance implements.
   Slot find_shared(Segment j, Slot lo, Slot hi) const {
+    return find_shared(j, lo, hi, [](Slot) { return true; });
+  }
+
+  // The same, over the slots for which usable(s) holds.
+  template <typename Usable>
+  Slot find_shared(Segment j, Slot lo, Slot hi, Usable usable) const {
     for (Slot s = hi; s >= lo; --s) {
       const auto it = slots_.find(s);
-      if (it == slots_.end()) continue;
+      if (it == slots_.end() || !usable(s)) continue;
       if (std::find(it->second.begin(), it->second.end(), j) !=
           it->second.end()) {
         return s;
       }
+    }
+    return 0;
+  }
+
+  // The latest of the least-loaded slots of [lo, hi] for which usable(s)
+  // holds, 0 when it holds for none.
+  template <typename Usable>
+  Slot min_load_latest(Slot lo, Slot hi, Usable usable) const {
+    std::optional<int> m_min;
+    for (Slot s = lo; s <= hi; ++s) {
+      if (usable(s)) m_min = std::min(m_min.value_or(load(s)), load(s));
+    }
+    if (!m_min) return 0;
+    for (Slot s = hi; s >= lo; --s) {
+      if (usable(s) && load(s) == *m_min) return s;
     }
     return 0;
   }

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/trace.h"
 #include "server/multi_video.h"
 #include "sim/arrival_process.h"
@@ -89,6 +92,85 @@ TEST(EngineObservability, MergedMetricsBitIdenticalAcrossThreadCounts) {
     const MultiVideoResult result = run_multi_video_simulation(parallel);
     expect_same_result(base, result);
     expect_same_metrics(base_metrics, observer.merged_metrics());
+  }
+}
+
+// The slot-domain events of every shard's ring, shard by shard; kWall
+// spans carry wall-clock times and are left out.
+std::string slot_trace_text(const obs::EngineObserver& observer) {
+  std::ostringstream out;
+  for (const obs::TraceBuffer* buffer : observer.trace_buffers()) {
+    out << "buffer emitted=" << buffer->emitted()
+        << " dropped=" << buffer->dropped() << "\n";
+    for (const obs::TraceEvent& e : buffer->snapshot()) {
+      if (e.clock == obs::TraceClock::kWall) continue;
+      out << e.name << ' ' << e.category << ' '
+          << static_cast<int>(e.phase) << ' ' << e.ts << ' ' << e.track;
+      for (uint32_t a = 0; a < e.num_args; ++a) {
+        out << ' ' << e.args[a].key << '=' << e.args[a].value;
+      }
+      out << '\n';
+    }
+  }
+  return out.str();
+}
+
+// Every exported observer output, not only the merged metrics, is
+// byte-identical at any thread count. A shard that ran twice would leave
+// MultiVideoResult unchanged but double its recordings, so this is also
+// the engine-level check that each shard runs exactly once.
+TEST(EngineObservability, ObserverOutputsByteIdenticalAcrossThreadCounts) {
+  MultiVideoConfig config;
+  config.catalog_size = 150;  // 3 shards at kShardSize = 64
+  config.num_segments = 20;
+  config.policy = VideoPolicy::kAdaptive;
+  config.total_requests_per_hour = 40.0;
+  config.diurnal_peak_requests_per_hour = 800.0;
+  config.warmup_hours = 1.0;
+  config.measured_hours = 24.0;
+  config.adaptive.ewma.half_life_slots = 16.0;
+  config.adaptive.controller.min_dwell_slots = 16;
+  config.seed = 20010416;
+
+  struct Outputs {
+    std::string qoe;
+    std::string slo;
+    std::string decisions;
+    std::string slot_trace;
+  };
+  const auto observe = [&config](int threads) {
+    obs::EngineObserver observer;
+    MultiVideoConfig run = config;
+    run.num_threads = threads;
+    run.observer = &observer;
+    run_multi_video_simulation(run);
+    const std::unique_ptr<obs::QoeShard> qoe = observer.merged_qoe();
+    return Outputs{obs::qoe_jsonl(*qoe), obs::slo_jsonl(*qoe),
+                   obs::decisions_jsonl(observer.flight_recorders()),
+                   slot_trace_text(observer)};
+  };
+
+  const Outputs base = observe(1);
+#ifndef VOD_OBSERVE_DISABLED
+  EXPECT_FALSE(base.qoe.empty());
+  EXPECT_FALSE(base.slo.empty());
+  EXPECT_NE(base.decisions.find("\"kind\":\"decision\""), std::string::npos);
+  EXPECT_NE(base.slot_trace.find("adaptive/switch"), std::string::npos);
+#endif
+  // Compared with ==, not EXPECT_EQ: a failure would print hundreds of
+  // kilobytes of JSONL.
+  const auto expect_same = [](const std::string& got, const std::string& want,
+                              const char* what) {
+    EXPECT_TRUE(got == want) << what << ": " << got.size() << " bytes vs "
+                             << want.size() << " at one thread";
+  };
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const Outputs got = observe(threads);
+    expect_same(got.qoe, base.qoe, "qoe_jsonl");
+    expect_same(got.slo, base.slo, "slo_jsonl");
+    expect_same(got.decisions, base.decisions, "decisions_jsonl");
+    expect_same(got.slot_trace, base.slot_trace, "slot-domain trace");
   }
 }
 

@@ -3,7 +3,7 @@
 // fields rejecting unguarded access — is enforced at compile time by
 // clang's -Werror=thread-safety (this file compiles under it in CI); the
 // tests below pin the runtime semantics the annotations wrap: mutual
-// exclusion, RAII release, try_lock, and condition-variable wakeups.
+// exclusion, RAII release, and try_lock.
 #include "util/thread_annotations.h"
 
 #include <gtest/gtest.h>
@@ -55,59 +55,6 @@ TEST(Mutex, TryLockReflectsHeldState) {
   const bool reacquired = mutex.try_lock();
   EXPECT_TRUE(reacquired);
   if (reacquired) mutex.unlock();
-}
-
-TEST(CondVar, WaitReleasesLockAndWakesOnNotify) {
-  Mutex mutex;
-  CondVar cv;
-  bool ready VOD_GUARDED_BY(mutex) = false;
-  bool consumed VOD_GUARDED_BY(mutex) = false;
-
-  std::thread consumer([&] {
-    MutexLock lock(mutex);
-    while (!ready) cv.wait(lock);
-    consumed = true;
-  });
-
-  // The producer can take the lock while the consumer waits — proof that
-  // wait() released it.
-  {
-    MutexLock lock(mutex);
-    ready = true;
-  }
-  cv.notify_one();
-  consumer.join();
-
-  MutexLock lock(mutex);
-  EXPECT_TRUE(consumed);
-}
-
-TEST(CondVar, NotifyAllWakesEveryWaiter) {
-  Mutex mutex;
-  CondVar cv;
-  bool go VOD_GUARDED_BY(mutex) = false;
-  int awake VOD_GUARDED_BY(mutex) = 0;
-
-  constexpr int kWaiters = 4;
-  std::vector<std::thread> waiters;
-  waiters.reserve(kWaiters);
-  for (int t = 0; t < kWaiters; ++t) {
-    waiters.emplace_back([&] {
-      MutexLock lock(mutex);
-      while (!go) cv.wait(lock);
-      ++awake;
-    });
-  }
-
-  {
-    MutexLock lock(mutex);
-    go = true;
-  }
-  cv.notify_all();
-  for (auto& th : waiters) th.join();
-
-  MutexLock lock(mutex);
-  EXPECT_EQ(awake, kWaiters);
 }
 
 }  // namespace
