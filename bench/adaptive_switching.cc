@@ -22,11 +22,11 @@
 //     TransitionAuditor probe over the same diurnal arrivals —
 //     gap_violations (kTransitionCoverageGap et al.) is required to be 0
 //     while the controller switches on its own.
-//   * client-perceived QoE: the adaptive run repeated with an
+//   * write-only observation: the adaptive run repeated with an
 //     EngineObserver attached must keep the same checksum (qoe_write_only
-//     — recording startup waits and continuity must never feed back), and
-//     the per-rung wait p50/p99, continuity and SLO burn-rate verdicts
-//     from that run land in the JSON (qoe_rungs).
+//     — recording metrics, trace events and controller decisions must
+//     never feed back). Its QoE is not reported: every rung starts a
+//     client one slot after it arrives and misses no deadline.
 //
 // scripts/bench_compare.py re-checks all of the above from the committed
 // JSON and compares checksums across regenerations of matching points.
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "analysis/transition_auditor.h"
-#include "obs/qoe.h"
 #include "obs/trace.h"
 #include "protocols/npb.h"
 #include "server/adaptive_video.h"
@@ -241,34 +240,8 @@ struct Point {
   uint64_t checksum = 0;
   bool bit_identical = false;
   bool qoe_write_only = false;
-  std::vector<vod::obs::QoeRungSummary> rungs;
   GapAudit audit;
 };
-
-// Renders one point's per-rung QoE summaries as a JSON array: requests,
-// startup-wait quantiles (slots), continuity, and the SLO verdicts with
-// their burn-rate alert counts.
-std::string rungs_json(const std::vector<vod::obs::QoeRungSummary>& rungs) {
-  std::string out;
-  for (size_t k = 0; k < rungs.size(); ++k) {
-    const vod::obs::QoeRungSummary& r = rungs[k];
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"rung\": %d, \"rung_name\": \"%s\", \"requests\": %llu, "
-        "\"wait_p50\": %.4f, \"wait_p99\": %.4f, \"continuity\": %.6f, "
-        "\"wait_slo_met\": %s, \"continuity_slo_met\": %s, "
-        "\"wait_burn_alerts\": %llu, \"continuity_burn_alerts\": %llu}",
-        k > 0 ? ", " : "", r.rung, vod::obs::qoe_rung_name(r.rung),
-        static_cast<unsigned long long>(r.requests), r.wait_p50, r.wait_p99,
-        r.continuity, r.wait_slo_met ? "true" : "false",
-        r.continuity_slo_met ? "true" : "false",
-        static_cast<unsigned long long>(r.wait_burn_alerts),
-        static_cast<unsigned long long>(r.continuity_burn_alerts));
-    out += buf;
-  }
-  return out;
-}
 
 void write_json(const std::string& path, const std::vector<Point>& points,
                 const std::vector<int>& threads, bool all_identical,
@@ -303,8 +276,7 @@ void write_json(const std::string& path, const std::vector<Point>& points,
         "\"worst_pin_ratio\": %.4f, \"switches\": %llu, "
         "\"gap_transitions\": %llu, \"gap_violations\": %llu, "
         "\"gap_receptions\": %llu, \"checksum\": %llu, "
-        "\"bit_identical\": %s, \"qoe_write_only\": %s, "
-        "\"qoe_rungs\": [%s]}%s\n",
+        "\"bit_identical\": %s, \"qoe_write_only\": %s}%s\n",
         w.segments, p.peak_arrivals_per_slot, w.catalog, w.off_peak_per_hour,
         w.peak_per_hour, w.measured_hours,
         static_cast<unsigned long long>(p.requests), p.adaptive_provisioned,
@@ -316,7 +288,7 @@ void write_json(const std::string& path, const std::vector<Point>& points,
         static_cast<unsigned long long>(p.audit.receptions),
         static_cast<unsigned long long>(p.checksum),
         p.bit_identical ? "true" : "false",
-        p.qoe_write_only ? "true" : "false", rungs_json(p.rungs).c_str(),
+        p.qoe_write_only ? "true" : "false",
         i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -396,16 +368,13 @@ int main(int argc, char** argv) {
     }
     all_identical = all_identical && p.bit_identical;
 
-    // Observed re-run: the QoE/SLO layer attached through an
-    // EngineObserver must be write-only — bit-identical checksum to the
-    // unobserved run above. The per-rung wait/continuity summaries and
-    // SLO verdicts reported below come from this run.
+    // Observed re-run: an EngineObserver must be write-only —
+    // bit-identical checksum to the unobserved run above.
     vod::obs::EngineObserver observer;
     const PolicyRun observed =
         run_policy(w, /*pin=*/-1, threads[0], &observer);
     p.qoe_write_only = observed.checksum == adaptive.checksum;
     all_write_only = all_write_only && p.qoe_write_only;
-    p.rungs = vod::obs::summarize_rungs(*observer.merged_qoe());
 
     std::vector<PolicyRun> pins;
     pins.reserve(kModes);

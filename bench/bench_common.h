@@ -106,23 +106,15 @@ class BenchObservability {
            !qoe_out_.empty() || !slo_out_.empty();
   }
 
-  // Writes the requested outputs; .prom selects Prometheus text, any other
-  // metrics extension JSONL. Returns false when a file cannot be written.
+  // Writes the requested outputs (metrics as JSONL). Returns false when a
+  // file cannot be written.
   bool write() const {
     bool ok = true;
     if (!trace_out_.empty()) {
       ok = obs::write_chrome_trace(trace_out_, {&trace_}) && ok;
     }
     if (!metrics_out_.empty()) {
-      obs::MetricShard merged;
-      merged.merge_from(metrics_);
-      qoe_.export_metrics(&merged);  // bounded per-rung qoe_* series
-      const bool prom =
-          metrics_out_.size() >= 5 &&
-          metrics_out_.compare(metrics_out_.size() - 5, 5, ".prom") == 0;
-      ok = (prom ? obs::write_prometheus(metrics_out_, merged)
-                 : obs::write_metrics_jsonl(metrics_out_, merged)) &&
-           ok;
+      ok = obs::write_metrics_jsonl(metrics_out_, metrics_) && ok;
     }
     if (!qoe_out_.empty()) {
       ok = obs::write_qoe_jsonl(qoe_out_, qoe_, {&flight_}) && ok;

@@ -6,8 +6,10 @@
 //   metrics  ObsSink carrying a MetricShard but no trace ring (the branch
 //            is taken, trace emission still skipped),
 //   full     MetricShard plus TraceBuffer plus the QoE shard and flight
-//            recorder (every admission event lands in the ring AND in the
-//            per-request QoE accounting).
+//            recorder. An uncapped admission records into none of them:
+//            its outcome is in the scheduler's counters, and its wait and
+//            continuity are fixed by construction, so trace_events and
+//            qoe_requests read 0 here.
 //
 // Every point first replays a fixed-length trace through all three modes
 // and insists the scheduler's lifetime counters and an FNV checksum over
@@ -83,7 +85,6 @@ Run run_mode(int segments, double rate, uint64_t slots, SinkMode mode) {
       sink.trace = &trace;
       sink.qoe = &qoe;
       sink.flight = &flight;
-      qoe.set_context(0, 1);
     }
     scoped.emplace(&sink);
   }

@@ -13,18 +13,21 @@
 //          [--policy P]      dhb|static|hybrid|adaptive, multi only
 //                            (default dhb)
 //          [--trace-out P]   write Chrome trace-event JSON to P
-//          [--metrics-out P] write metrics to P (.prom -> Prometheus
-//                            text exposition; anything else -> JSONL)
+//          [--metrics-out P] write the counters and histograms to P as JSONL
 //          [--qoe-out P]     write per-(video,rung) QoE JSONL (wait
 //                            histograms with exemplars, continuity) plus
 //                            the flight-recorder decisions to P; also arms
-//                            the VOD_CHECK violation dump to P.violations
+//                            the VOD_CHECK violation dump to P.violations.
+//                            Only a batching run writes QoE lines here:
+//                            the other protocols fix their clients' wait
+//                            and continuity by construction
 //          [--slo-out P]     write SLO burn-rate JSONL to P
 //
 // Prints average/maximum bandwidth and protocol-specific diagnostics.
 // Exit code 0 on success, 2 on bad usage: an unknown flag, a number that
 // does not parse whole, is not finite or does not fit its type, a value
 // out of range, or a horizon past kMaxHorizonSlots (schedule/slot_math.h).
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -47,6 +50,7 @@
 #include "protocols/ud.h"
 #include "schedule/slot_math.h"
 #include "server/multi_video.h"
+#include "util/parallel_for.h"
 
 using namespace vod;
 
@@ -77,7 +81,7 @@ int usage(const char* argv0) {
                "          [--videos V] [--threads T] "
                "[--policy dhb|static|hybrid|adaptive]\n"
                "          [--trace-out trace.json] "
-               "[--metrics-out metrics.prom|metrics.jsonl]\n"
+               "[--metrics-out metrics.jsonl]\n"
                "          [--qoe-out qoe.jsonl] [--slo-out slo.jsonl]\n",
                argv0);
   return 2;
@@ -153,16 +157,10 @@ void report(const char* name, double avg, double max, uint64_t requests) {
               name, avg, max, static_cast<unsigned long long>(requests));
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-// Writes whatever the run recorded. Metrics format follows the extension:
-// .prom selects Prometheus text exposition, everything else JSONL. The
-// QoE file carries the flight-recorder decisions too, so one artifact
-// tells the whole story: what clients experienced and which controller
-// decisions put their video on that rung.
+// Writes whatever the run recorded. The QoE file carries the
+// flight-recorder decisions too, so one artifact tells the whole story:
+// what clients experienced and which controller decisions put their video
+// on that rung.
 bool write_observability(const Options& opt,
                          const std::vector<const obs::TraceBuffer*>& buffers,
                          const obs::MetricShard& metrics,
@@ -174,10 +172,7 @@ bool write_observability(const Options& opt,
     if (ok) std::printf("trace   -> %s\n", opt.trace_out.c_str());
   }
   if (!opt.metrics_out.empty()) {
-    ok = (ends_with(opt.metrics_out, ".prom")
-              ? obs::write_prometheus(opt.metrics_out, metrics)
-              : obs::write_metrics_jsonl(opt.metrics_out, metrics)) &&
-         ok;
+    ok = obs::write_metrics_jsonl(opt.metrics_out, metrics) && ok;
     if (ok) std::printf("metrics -> %s\n", opt.metrics_out.c_str());
   }
   if (!opt.qoe_out.empty()) {
@@ -227,9 +222,14 @@ int main(int argc, char** argv) {
     obs::EngineObserver observer;
     if (observe) mc.observer = &observer;
     const MultiVideoResult r = run_multi_video_simulation(mc);
+    // The workers the engine ran: the resolved request, capped at the
+    // shard count.
+    const int shards = (opt.videos + MultiVideoConfig::kShardSize - 1) /
+                       MultiVideoConfig::kShardSize;
+    const int workers = std::min(resolve_num_threads(opt.threads), shards);
     std::printf("catalog %d videos, %d segments each, %.1f req/h aggregate, "
                 "%.0f measured hours, %d threads\n\n",
-                opt.videos, opt.segments, opt.rate, opt.hours, opt.threads);
+                opt.videos, opt.segments, opt.rate, opt.hours, workers);
     report("multi", r.avg_streams, r.max_streams, r.requests);
     if (observe) {
       const obs::MetricShard merged = observer.merged_metrics();
@@ -252,10 +252,6 @@ int main(int argc, char** argv) {
   std::optional<obs::ScopedObsSink> scoped;
   if (observe) {
     scoped.emplace(&sink);
-    // Single video, rank 0. The rung mirrors the adaptive ladder naming:
-    // DHB runs on the dhb rung; the slotted-patching family (tapping,
-    // patching, merging, batching, catching) is the reactive rung.
-    qoe.set_context(0, opt.protocol == "dhb" ? 1 : 0);
   }
 
   SlottedSimConfig sim;

@@ -13,10 +13,6 @@ fixtures. Dispatch is by extension:
   (integer microseconds, 1 slot = 1000 us). Chrome keys a counter track
   by (pid, name), so two samples of one counter at the same (pid, name,
   ts) would overwrite each other on one track: rejected.
-* .prom  — Prometheus text exposition. Checks name charset, that every
-  sample belongs to a preceding # TYPE family, and histogram coherence:
-  increasing le edges, non-decreasing cumulative buckets, a final +Inf
-  bucket equal to _count, and a _sum sample.
 * .jsonl — self-describing JSON objects, one per line: metric snapshots
   (counter/gauge/histogram), QoE groups ("qoe", with exemplar/bin
   coherence), SLO burn-rate verdicts ("slo"), flight-recorder decisions
@@ -28,16 +24,7 @@ Usage:
 """
 
 import json
-import re
 import sys
-
-PROM_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-PROM_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)$")
-PROM_TYPE = re.compile(
-    r"^# TYPE (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) "
-    r"(?P<kind>counter|gauge|histogram|summary|untyped)$")
 
 
 def fail(path, msg):
@@ -116,97 +103,6 @@ def validate_chrome_trace(path):
     print(f"{path}: ok — {counts['X']} spans, {counts['i']} instants, "
           f"{counts['C']} counter samples, {counts['M']} metadata, "
           f"dropped={dropped}")
-
-
-def validate_prometheus(path):
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    types = {}           # family -> kind
-    samples = []         # (lineno, name, labels, value)
-    for no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if line.startswith("# HELP "):
-                continue
-            m = PROM_TYPE.match(line)
-            if m is None:
-                fail(path, f"line {no}: malformed comment {line!r}")
-            if m["name"] in types:
-                fail(path, f"line {no}: duplicate # TYPE for {m['name']}")
-            types[m["name"]] = m["kind"]
-            continue
-        m = PROM_SAMPLE.match(line)
-        if m is None:
-            fail(path, f"line {no}: malformed sample {line!r}")
-        try:
-            value = float(m["value"])
-        except ValueError:
-            fail(path, f"line {no}: non-numeric value {m['value']!r}")
-        samples.append((no, m["name"], m["labels"], value))
-    if not samples:
-        fail(path, "no samples")
-
-    # Group histogram series under their family name.
-    hist_parts = {}
-    for no, name, labels, value in samples:
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[:-len(suffix)] in types:
-                family = name[:-len(suffix)]
-                break
-        if family not in types:
-            fail(path, f"line {no}: sample {name} has no # TYPE declaration")
-        kind = types[family]
-        if kind == "histogram":
-            part = name[len(family):] or "_value"
-            hist_parts.setdefault(family, []).append(
-                (no, part, labels, value))
-        else:
-            if labels:
-                fail(path, f"line {no}: unexpected labels on {kind} sample")
-            if kind == "counter" and value < 0:
-                fail(path, f"line {no}: negative counter {name}")
-
-    for family, kind in types.items():
-        if kind != "histogram":
-            continue
-        parts = hist_parts.get(family)
-        if parts is None:
-            fail(path, f"histogram {family} declared but has no series")
-        buckets, total_sum, total_count = [], None, None
-        for no, part, labels, value in parts:
-            if part == "_bucket":
-                m = re.match(r'^le="([^"]+)"$', labels or "")
-                if m is None:
-                    fail(path, f"line {no}: bucket of {family} without le")
-                le = float("inf") if m[1] == "+Inf" else float(m[1])
-                buckets.append((no, le, value))
-            elif part == "_sum":
-                total_sum = value
-            elif part == "_count":
-                total_count = value
-            else:
-                fail(path, f"line {no}: unexpected histogram series "
-                           f"{family}{part}")
-        if total_sum is None or total_count is None:
-            fail(path, f"histogram {family}: missing _sum or _count")
-        if not buckets or buckets[-1][1] != float("inf"):
-            fail(path, f"histogram {family}: buckets must end with le=+Inf")
-        prev_le, prev_cum = float("-inf"), 0.0
-        for no, le, cum in buckets:
-            if le <= prev_le:
-                fail(path, f"line {no}: le edges of {family} not increasing")
-            if cum < prev_cum:
-                fail(path, f"line {no}: buckets of {family} not cumulative")
-            prev_le, prev_cum = le, cum
-        if buckets[-1][2] != total_count:
-            fail(path, f"histogram {family}: +Inf bucket "
-                       f"{buckets[-1][2]} != _count {total_count}")
-
-    kinds = sorted(types.values())
-    print(f"{path}: ok — {len(samples)} samples in {len(types)} families "
-          f"({', '.join(f'{kinds.count(k)} {k}' for k in dict.fromkeys(kinds))})")
 
 
 # Required keys per QoE/decision line kind; a line must carry every one.
@@ -311,14 +207,12 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     for path in argv[1:]:
-        if path.endswith(".prom"):
-            validate_prometheus(path)
-        elif path.endswith(".jsonl"):
+        if path.endswith(".jsonl"):
             validate_jsonl(path)
         elif path.endswith(".json"):
             validate_chrome_trace(path)
         else:
-            fail(path, "unknown extension (expected .json/.prom/.jsonl)")
+            fail(path, "unknown extension (expected .json/.jsonl)")
     return 0
 
 

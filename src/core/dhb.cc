@@ -30,18 +30,18 @@ constexpr uint64_t kWorkIndexQuery = 1;
 constexpr uint64_t kWorkCommit = 1;
 constexpr uint64_t kWorkMemoCopy = 1;
 
-// QoE recording for `count` requests sharing one reception plan: startup
-// wait = first reception minus arrival, and — because the admission window
-// for segment j is (arrival, arrival + T[j]], i.e. deadline-correct by
-// construction — the only possible deadline misses are the capped-mode
-// cap_violations, making continuity accounting O(1) per admission. A
-// constant-nullptr current_qoe() folds the whole block away under
-// VOD_OBSERVE=OFF.
-inline void record_admission_qoe(uint64_t count,
-                                 const DhbRequestResult& result) {
+// QoE recording for one capped admission: startup wait = first reception
+// minus arrival, and its cap_violations as the late segments. The
+// admission window for segment j is (arrival, arrival + T[j]], and S_1's
+// is the one slot after the arrival (Figure 6), so an uncapped client
+// always starts one slot after it arrives and misses no deadline: only a
+// capped client's continuity can vary, and only its admissions are
+// recorded. A constant-nullptr current_qoe() folds the whole block away
+// under VOD_OBSERVE=OFF.
+inline void record_capped_qoe(const DhbRequestResult& result) {
   if (obs::QoeShard* qoe = obs::current_qoe()) {
     qoe->record_admission(
-        count, result.plan.arrival_slot,
+        1, result.plan.arrival_slot,
         static_cast<double>(result.plan.reception_slot.front() -
                             result.plan.arrival_slot),
         static_cast<uint64_t>(result.cap_violations),
@@ -167,23 +167,19 @@ const DhbRequestResult& DhbScheduler::admit_batch(Segment first_segment,
   const int n = config_.num_segments;
   if (!config_.coalesce_same_slot || config_.client_stream_cap != 0 ||
       first_segment != 1 || last_segment != n) {
-    for (uint64_t i = 0; i < count; ++i) admit(first_segment, last_segment, 1);
+    for (uint64_t i = 0; i < count; ++i) admit(first_segment, last_segment);
     return result_scratch_;
   }
   uint64_t followers = count;
   if (!memo_valid_) {
-    // Leader: one real admission whose QoE record covers the whole batch —
-    // every same-slot request shares the leader's plan, wait, and
-    // deadlines, so one record per batch is exact. The memo caches the
-    // *follower* view: same plan, everything shared.
-    admit(1, n, count);
+    // Leader: one real admission. The memo caches the *follower* view:
+    // same plan, everything shared.
+    admit(1, n);
     memo_result_ = result_scratch_;
     memo_result_.new_instances = 0;
     memo_result_.shared_instances = n;
     memo_valid_ = true;
     if (--followers == 0) return result_scratch_;
-  } else {
-    record_admission_qoe(count, memo_result_);
   }
   // Followers: the leader already forced every segment into the window, so
   // each further request shares all of them — the plan is the leader's, no
@@ -195,9 +191,6 @@ const DhbRequestResult& DhbScheduler::admit_batch(Segment first_segment,
   work_ += followers * kWorkMemoCopy;
   coalesced_ += followers;
   admissions_all_shared_ += followers;
-  VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                    {"count", static_cast<int64_t>(followers)},
-                    {"shared", n});
   return memo_result_;
 }
 
@@ -216,7 +209,7 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
 // full request compiles to a copy specialized for first_segment == 1 —
 // the hot admission path, which the generic loop slows by about a tenth.
 [[gnu::always_inline]] inline void DhbScheduler::admit(
-    Segment first_segment, Segment last_segment, uint64_t qoe_count) {
+    Segment first_segment, Segment last_segment) {
   VOD_CHECK(first_segment >= 1 && first_segment <= config_.num_segments);
   VOD_CHECK(last_segment >= first_segment &&
             last_segment <= config_.num_segments);
@@ -240,7 +233,7 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
                           config_.heuristic != SlotHeuristic::kRandom &&
                           schedule_.total_scheduled() == 0;
   if (empty_full && !empty_plan_.empty()) {
-    replay_empty_plan(qoe_count);
+    replay_empty_plan();
     return;
   }
 
@@ -343,8 +336,8 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
 
   scratch_.rewind(scratch_mark);
   if (empty_full) record_empty_plan();
-  record_admission_qoe(qoe_count, result);
-  finish_admission(result, "first", first_segment);
+  if (cap > 0) record_capped_qoe(result);
+  finish_admission(result);
 }
 
 // Both out of line, so that the inlined admission loop stays compact.
@@ -356,7 +349,7 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
   }
 }
 
-[[gnu::noinline]] void DhbScheduler::replay_empty_plan(uint64_t qoe_count) {
+[[gnu::noinline]] void DhbScheduler::replay_empty_plan() {
   const Slot arrival = schedule_.now();
   const size_t n = empty_plan_.size();
   DhbRequestResult& result = result_scratch_;
@@ -373,24 +366,14 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
   }
   probes_ += sum_periods_;
   work_ += n * (kWorkShareProbe + kWorkIndexQuery + kWorkCommit);
-  record_admission_qoe(qoe_count, result);
-  finish_admission(result, "first", 1);
+  finish_admission(result);
 }
 
-void DhbScheduler::finish_admission(const DhbRequestResult& result,
-                                    [[maybe_unused]] const char* detail_key,
-                                    [[maybe_unused]] int detail_value) {
+void DhbScheduler::finish_admission(const DhbRequestResult& result) {
   ++requests_;
   new_instances_ += static_cast<uint64_t>(result.new_instances);
   shared_ += static_cast<uint64_t>(result.shared_instances);
   ++(result.new_instances > 0 ? admissions_placed_ : admissions_all_shared_);
-  VOD_TRACE_INSTANT(result.new_instances > 0 ? "admission/placed"
-                                             : "admission/shared",
-                    "dhb", result.plan.arrival_slot,
-                    {"new", result.new_instances},
-                    {"shared", result.shared_instances},
-                    {detail_key, detail_value},
-                    {"cap_violations", result.cap_violations});
 }
 
 std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
@@ -471,7 +454,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     schedule_.add_instance(placements[p].segment, placements[p].slot);
   }
   scratch_.rewind(scratch_mark);
-  finish_admission(result, "channel_cap", channel_cap);
+  finish_admission(result);
   return result;
 }
 

@@ -269,25 +269,20 @@ class DhbScheduler {
   // One Figure 6 admission under windows
   // (now, now + min(T[j], j - first + 1)], written into result_scratch_
   // (plan storage is reused across calls, so a warm scheduler admits
-  // without allocating). `qoe_count` is the number of requests this
-  // admission stands for in the QoE accounting: a coalesced batch leader
-  // passes the whole batch size (every same-slot request shares the
-  // leader's plan, wait, and deadlines), so the hot path pays one QoE
-  // record per batch instead of one per request.
-  void admit(Segment first_segment, Segment last_segment, uint64_t qoe_count);
+  // without allocating). A capped admission also records its QoE: it is
+  // the one admission whose continuity can miss.
+  void admit(Segment first_segment, Segment last_segment);
 
   // Fills empty_plan_ from the plan admit() just wrote into
-  // result_scratch_; and admit(1, n, qoe_count) into an empty schedule,
-  // committed from empty_plan_ in O(n) instead of running the loop.
+  // result_scratch_; and admit(1, n) into an empty schedule, committed
+  // from empty_plan_ in O(n) instead of running the loop.
   void record_empty_plan();
-  void replay_empty_plan(uint64_t qoe_count);
+  void replay_empty_plan();
 
   // End of every admission that reached the schedule (admit() and a
-  // successful on_request_bounded()): the lifetime counters and the
-  // placed/shared trace event, whose third argument is the entry point's
-  // own ("first" or "channel_cap").
-  void finish_admission(const DhbRequestResult& result,
-                        const char* detail_key, int detail_value);
+  // successful on_request_bounded()): the lifetime counters, which are
+  // also the admission outcomes the observability layer exports.
+  void finish_admission(const DhbRequestResult& result);
 
   // Single-writer discipline (DESIGN.md §11): a scheduler — its schedule,
   // rng, memo, and lifetime counters — is mutated by one thread at a time.

@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -106,21 +105,6 @@ void append_process_metadata(std::string* out, int pid, const char* name,
   *out += "}}";
 }
 
-// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*, conventionally
-// prefixed with the subsystem name.
-std::string prom_name(const std::string& name) {
-  std::string out = name.rfind("vod_", 0) == 0 ? "" : "vod_";
-  for (char c : name) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                    c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out[0])) != 0) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
 bool write_string(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -151,37 +135,6 @@ std::string chrome_trace_json(
   out += "\n],\n\"displayTimeUnit\":\"ms\",\n";
   appendf(&out, "\"otherData\":{\"droppedEvents\":\"%" PRIu64 "\"}}\n",
           dropped);
-  return out;
-}
-
-std::string prometheus_text(const MetricShard& metrics) {
-  std::string out;
-  for (const auto& [name, counter] : metrics.counters()) {
-    const std::string n = prom_name(name);
-    appendf(&out, "# TYPE %s counter\n", n.c_str());
-    appendf(&out, "%s %" PRIu64 "\n", n.c_str(), counter.value());
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    const std::string n = prom_name(name);
-    appendf(&out, "# TYPE %s gauge\n", n.c_str());
-    appendf(&out, "%s %.10g\n", n.c_str(), gauge.value());
-  }
-  for (const auto& [name, hist] : metrics.histograms()) {
-    const std::string n = prom_name(name);
-    const Histogram& h = hist.histogram();
-    appendf(&out, "# TYPE %s histogram\n", n.c_str());
-    uint64_t cum = 0;
-    for (size_t i = 0; i < h.bins().size(); ++i) {
-      cum += h.bins()[i];
-      const double le = h.lo() + h.bin_width() * static_cast<double>(i + 1);
-      appendf(&out, "%s_bucket{le=\"%.10g\"} %" PRIu64 "\n", n.c_str(), le,
-              cum);
-    }
-    appendf(&out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", n.c_str(),
-            hist.count());
-    appendf(&out, "%s_sum %.10g\n", n.c_str(), hist.sum());
-    appendf(&out, "%s_count %" PRIu64 "\n", n.c_str(), hist.count());
-  }
   return out;
 }
 
@@ -340,10 +293,6 @@ std::string decisions_jsonl(
 bool write_chrome_trace(const std::string& path,
                         const std::vector<const TraceBuffer*>& buffers) {
   return write_string(path, chrome_trace_json(buffers));
-}
-
-bool write_prometheus(const std::string& path, const MetricShard& metrics) {
-  return write_string(path, prometheus_text(metrics));
 }
 
 bool write_metrics_jsonl(const std::string& path,

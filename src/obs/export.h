@@ -1,22 +1,19 @@
 // Exporters for the instrumentation layer.
 //
-// Three formats, each with a string builder (unit-testable) and a file
+// Two formats, each with a string builder (unit-testable) and a file
 // writer:
 //   * Chrome trace-event JSON — loadable in chrome://tracing and Perfetto.
 //     Slot-domain events land on pid 1 ("slot time", 1 slot rendered as
 //     1 ms so the timeline reads in slots); wall-domain profiling spans
 //     land on pid 2 ("wall clock", real microseconds). The tid is the
-//     event's track (the engine stamps video ranks).
-//   * Prometheus text exposition — counters, gauges, and histograms in the
-//     standard format (# TYPE comments, cumulative le buckets, _sum and
-//     _count series). Names are sanitized to [a-zA-Z0-9_:] and prefixed
-//     "vod_" unless they already carry it.
-//   * JSONL snapshots — one self-describing JSON object per metric per
-//     line; the format downstream notebooks diff across runs.
-//   * QoE / SLO JSONL — one "qoe" object per (video, rung) group (wait
-//     histogram with per-bucket exemplars, continuity counters) and one
-//     "slo" object per group and objective (budget, lifetime verdict,
-//     burn-rate window stats); scripts/qoe_report.py renders them.
+//     event's track (the engine stamps shard ids).
+//   * JSONL — one self-describing JSON object per line:
+//     - metric snapshots, one object per metric; the one metrics format,
+//       which perfbench and downstream notebooks read;
+//     - QoE / SLO — one "qoe" object per (video, rung) group (wait
+//       histogram with per-bucket exemplars, continuity counters) and one
+//       "slo" object per group and objective (budget, lifetime verdict,
+//       burn-rate window stats); scripts/qoe_report.py renders them.
 #pragma once
 
 #include <string>
@@ -32,9 +29,6 @@ namespace vod::obs {
 // Chrome trace-event JSON for the given buffers (e.g. one per engine
 // shard), events merged in buffer order.
 std::string chrome_trace_json(const std::vector<const TraceBuffer*>& buffers);
-
-// Prometheus text exposition of one (merged) shard.
-std::string prometheus_text(const MetricShard& metrics);
 
 // JSONL snapshot of one (merged) shard.
 std::string metrics_jsonl(const MetricShard& metrics);
@@ -56,7 +50,6 @@ std::string decisions_jsonl(const std::vector<const FlightRecorder*>& flights);
 // cannot be opened.
 bool write_chrome_trace(const std::string& path,
                         const std::vector<const TraceBuffer*>& buffers);
-bool write_prometheus(const std::string& path, const MetricShard& metrics);
 bool write_metrics_jsonl(const std::string& path, const MetricShard& metrics);
 bool write_qoe_jsonl(const std::string& path, const QoeShard& qoe);
 // Same file with the flight-recorder decisions appended, so one JSONL

@@ -51,9 +51,9 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// A fixed-bucket histogram plus a running sum, the shape both the
-// Prometheus histogram exposition and the JSONL snapshot need. Buckets are
-// vod::Histogram semantics: [lo, hi) with clamping edge bins.
+// A fixed-bucket histogram plus a running sum, the shape the JSONL
+// snapshot needs. Buckets are vod::Histogram semantics: [lo, hi) with
+// clamping edge bins.
 class HistogramMetric {
  public:
   HistogramMetric(double lo, double hi, size_t bins)

@@ -183,76 +183,4 @@ std::string qoe_rung_label(int32_t rung) {
   return "rung" + std::to_string(rung);
 }
 
-void QoeShard::export_metrics(MetricShard* out) const {
-  VOD_CHECK(out != nullptr);
-  for (const auto& [key, g] : groups_) {
-    const std::string prefix = "qoe_rung_" + qoe_rung_label(key.rung) + "_";
-    out->counter(prefix + "requests")->inc(g.requests);
-    out->counter(prefix + "segments")->inc(g.segments);
-    out->counter(prefix + "late_segments")->inc(g.late_segments);
-    HistogramMetric* h = out->histogram(prefix + "wait_slots", 0.0,
-                                        options_.wait_hi_slots,
-                                        options_.wait_bins);
-    // Fold the group's wait histogram bin-wise (same spec by construction).
-    HistogramMetric tmp(0.0, options_.wait_hi_slots, options_.wait_bins);
-    const auto& bins = g.wait.histogram().bins();
-    for (size_t i = 0; i < bins.size(); ++i) {
-      if (bins[i] == 0) continue;
-      tmp.observe_n(g.wait.histogram().lo() +
-                        g.wait.histogram().bin_width() *
-                            (static_cast<double>(i) + 0.5),
-                    bins[i]);
-    }
-    h->merge(tmp);
-  }
-}
-
-std::vector<QoeRungSummary> summarize_rungs(const QoeShard& shard) {
-  std::map<int32_t, QoeRungSummary> by_rung;
-  std::map<int32_t, ExemplarHistogram> waits;
-  std::map<int32_t, SloTracker> wait_slos;
-  std::map<int32_t, SloTracker> cont_slos;
-  const QoeOptions& opt = shard.options();
-  for (const auto& [key, g] : shard.groups()) {
-    auto it = by_rung.find(key.rung);
-    if (it == by_rung.end()) {
-      it = by_rung.emplace(key.rung, QoeRungSummary{}).first;
-      it->second.rung = key.rung;
-      waits.emplace(key.rung, ExemplarHistogram(0.0, opt.wait_hi_slots,
-                                                opt.wait_bins));
-      wait_slos.emplace(key.rung, SloTracker(opt.wait_slo));
-      cont_slos.emplace(key.rung, SloTracker(opt.continuity_slo));
-    }
-    QoeRungSummary& s = it->second;
-    s.requests += g.requests;
-    s.segments += g.segments;
-    s.late_segments += g.late_segments;
-    waits.at(key.rung).merge(g.wait);
-    wait_slos.at(key.rung).merge_from(g.wait_slo);
-    cont_slos.at(key.rung).merge_from(g.continuity_slo);
-  }
-  std::vector<QoeRungSummary> out;
-  out.reserve(by_rung.size());
-  for (auto& [rung, s] : by_rung) {
-    const ExemplarHistogram& w = waits.at(rung);
-    s.wait_p50 = w.quantile(0.50);
-    s.wait_p99 = w.quantile(0.99);
-    s.continuity =
-        s.segments == 0
-            ? 1.0
-            : 1.0 - static_cast<double>(s.late_segments) /
-                        static_cast<double>(s.segments);
-    const SloTracker& ws = wait_slos.at(rung);
-    const SloTracker& cs = cont_slos.at(rung);
-    s.wait_slo_met = ws.met();
-    s.continuity_slo_met = cs.met();
-    s.wait_burn_alerts = ws.alerts();
-    s.continuity_burn_alerts = cs.alerts();
-    s.wait_max_fast_burn = ws.fast().max_burn;
-    s.continuity_max_fast_burn = cs.fast().max_burn;
-    out.push_back(s);
-  }
-  return out;
-}
-
 }  // namespace vod::obs

@@ -3,16 +3,20 @@
 // against SLOs with multi-window burn-rate tracking (obs/slo.h).
 //
 // The paper argues in client terms — expected/maximum waiting time versus
-// server bandwidth — so this is the layer that turns every serving path
-// (DhbScheduler admissions, the reactive patching/tapping/batching
-// simulators, AdaptiveVideo's static side) into client-side numbers:
+// server bandwidth — so this layer turns the serving paths whose client
+// experience can vary into client-side numbers:
 //
 //   startup wait  = slots between a request's arrival and the first slot
 //                   in which it receives its first segment (0 = same slot);
 //   continuity    = fraction of a request's segments delivered by their
-//                   playout deadline (for DHB plans the window construction
-//                   makes deadline misses identical to cap_violations, so
-//                   the accounting is O(1) per admission, not O(n)).
+//                   playout deadline.
+//
+// Those paths are batching (the wait to the next batch boundary),
+// bounded-admission deferrals (run_bounded_dhb_simulation) and
+// client-capped DHB admissions (whose cap_violations are their late
+// segments). An uncapped DHB, NPB or stream-tapping admission records
+// nothing: its wait and continuity are fixed by construction (DESIGN.md
+// §15).
 //
 // Samples land in the per-(video, rung) QoeGroup of the writer's QoeShard,
 // keyed by the protocol-ladder rung that served the request (the
@@ -149,8 +153,7 @@ struct QoeSample {
 };
 
 // One writer's QoE namespace: groups keyed (video, rung), a recent-sample
-// ring, and the ambient (video, rung) recording context the serving layers
-// set before admitting.
+// ring, and the (video, rung) recording context records land in.
 class QoeShard {
  public:
   explicit QoeShard(const QoeOptions& options = {});
@@ -159,10 +162,8 @@ class QoeShard {
   QoeShard(const QoeShard&) = delete;
   QoeShard& operator=(const QoeShard&) = delete;
 
-  // Recording context. AdaptiveVideo sets (video, rung) before every
-  // batch; the engine sets it per video for pinned ladders. Every writer
-  // records in its caller's slots: a scheduler is stepped on every slot,
-  // so its clock is the engine's.
+  // Recording context: the (video, rung) group later records land in;
+  // (0, 0) until set.
   void set_context(uint32_t video, int32_t rung);
   uint32_t video() const { return video_; }
   int32_t rung() const { return rung_; }
@@ -186,11 +187,6 @@ class QoeShard {
   // violation context, not aggregates).
   void merge_from(const QoeShard& other);
 
-  // Per-rung aggregate counters and wait histograms into `out`, under
-  // bounded-cardinality names (qoe_rung_<rung>_*) fit for the Prometheus
-  // exposition; full per-(video, rung) detail belongs to qoe_jsonl().
-  void export_metrics(MetricShard* out) const;
-
   // Releases the Debug-build writer binding (orchestrator→worker handoff).
   void detach_writer() { writer_.detach(); }
 
@@ -210,27 +206,6 @@ class QoeShard {
   // Cached group pointer for the current (video_, rung_) context.
   QoeGroup* context_group_ = nullptr;
 };
-
-// Everything bench/report code wants per rung: merged wait quantiles,
-// continuity, and the SLO verdicts, folded over every video on that rung.
-struct QoeRungSummary {
-  int32_t rung = 0;
-  uint64_t requests = 0;
-  uint64_t segments = 0;
-  uint64_t late_segments = 0;
-  double wait_p50 = 0.0;
-  double wait_p99 = 0.0;
-  double continuity = 1.0;
-  bool wait_slo_met = true;
-  bool continuity_slo_met = true;
-  uint64_t wait_burn_alerts = 0;
-  uint64_t continuity_burn_alerts = 0;
-  double wait_max_fast_burn = 0.0;
-  double continuity_max_fast_burn = 0.0;
-};
-
-// Ascending-rung summaries over the shard's groups (empty rungs omitted).
-std::vector<QoeRungSummary> summarize_rungs(const QoeShard& shard);
 
 // Display name for a ladder rung (matches server/adaptive_video.h's
 // ServingMode naming without depending on it): 0 "reactive", 1 "dhb",

@@ -137,7 +137,6 @@ void EngineObserver::prepare(size_t num_shards) {
   while (traces_.size() < num_shards) {
     traces_.push_back(
         std::make_unique<TraceBuffer>(options_.trace_capacity_per_shard));
-    qoe_.push_back(std::make_unique<QoeShard>());
     flights_.push_back(
         std::make_unique<FlightRecorder>(options_.flight_capacity_per_shard));
   }
@@ -152,10 +151,9 @@ ObsSink EngineObserver::sink(size_t shard) {
   // workers joined before this run's started).
   registry_.shard(shard).detach_writer();
   traces_[shard]->detach_writer();
-  qoe_[shard]->detach_writer();
   flights_[shard]->detach_writer();
-  return ObsSink{&registry_.shard(shard), traces_[shard].get(),
-                 qoe_[shard].get(), flights_[shard].get()};
+  return ObsSink{&registry_.shard(shard), traces_[shard].get(), nullptr,
+                 flights_[shard].get()};
 }
 
 std::vector<const TraceBuffer*> EngineObserver::trace_buffers() const {
@@ -166,9 +164,7 @@ std::vector<const TraceBuffer*> EngineObserver::trace_buffers() const {
 }
 
 std::unique_ptr<QoeShard> EngineObserver::merged_qoe() const {
-  auto merged = std::make_unique<QoeShard>();
-  for (const auto& shard : qoe_) merged->merge_from(*shard);
-  return merged;
+  return std::make_unique<QoeShard>();
 }
 
 std::vector<const FlightRecorder*> EngineObserver::flight_recorders() const {

@@ -68,7 +68,7 @@ struct TraceEvent {
   TraceClock clock = TraceClock::kSlot;
   int64_t ts = 0;   // slot number or wall ns (see clock)
   int64_t dur = 0;  // wall ns; kComplete only
-  uint32_t track = 0;  // rendered as the Chrome tid (engine: video rank)
+  uint32_t track = 0;  // rendered as the Chrome tid (engine: shard id)
   uint32_t num_args = 0;
   TraceArg args[kMaxArgs] = {};
 };
@@ -95,7 +95,7 @@ class TraceBuffer {
   std::vector<TraceEvent> snapshot() const;
 
   // Default track id stamped on events emitted with track 0 via the
-  // convenience emitters below; the engine sets it to the video rank.
+  // convenience emitters below; the engine sets it to the shard id.
   void set_track(uint32_t track);
   uint32_t track() const { return track_; }
 
@@ -176,11 +176,14 @@ class WallSpan {
 };
 
 // Observability state for one run of the sharded multi-video engine: a
-// metric shard and a trace ring per engine shard, handed to workers as
-// per-shard ObsSinks. The engine calls prepare() before launching workers;
-// each worker installs sink(s) for its shard only, so recording is
-// contention-free, and merged_metrics() folds shards in ascending shard
-// order — deterministic at any thread count.
+// metric shard, a trace ring and a flight recorder per engine shard,
+// handed to workers as per-shard ObsSinks. The engine calls prepare()
+// before launching workers; each worker installs sink(s) for its shard
+// only, so recording is contention-free, and merged_metrics() folds shards
+// in ascending shard order — deterministic at any thread count. A sink
+// carries no QoE shard: every engine admission starts one slot after its
+// arrival and misses no deadline (DESIGN.md §15), so the engine records
+// no QoE.
 class EngineObserver {
  public:
   struct Options {
@@ -202,8 +205,8 @@ class EngineObserver {
   // Every shard's trace ring, ascending shard order (exporter input).
   std::vector<const TraceBuffer*> trace_buffers() const;
   MetricShard merged_metrics() const { return registry_.merged(); }
-  // Every shard's QoE groups folded in ascending shard order — the same
-  // deterministic merge contract as merged_metrics().
+  // An empty QoE shard, for callers that export the engine's QoE and SLO
+  // files alongside its other outputs.
   std::unique_ptr<QoeShard> merged_qoe() const;
   // Every shard's flight recorder, ascending shard order.
   std::vector<const FlightRecorder*> flight_recorders() const;
@@ -212,7 +215,6 @@ class EngineObserver {
   Options options_;
   MetricsRegistry registry_;
   std::vector<std::unique_ptr<TraceBuffer>> traces_;
-  std::vector<std::unique_ptr<QoeShard>> qoe_;
   std::vector<std::unique_ptr<FlightRecorder>> flights_;
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "obs/qoe.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 #include "util/check.h"
@@ -161,16 +160,9 @@ TappingResult run_tapping_simulation(const TappingConfig& config,
       }
       if (t >= w_lo) cost_sum += cost;
     }
-    if (t >= w_lo) {
-      ++result.requests;
-      if (obs::QoeShard* qoe = obs::current_qoe()) {
-        // Every tapping mode serves the client's own stream from the
-        // arrival instant, so startup wait is zero and nothing arrives
-        // late; the QoE layer still sees each request (the reactive rung's
-        // demand profile). The sample slot is the arrival second.
-        qoe->record_admission(1, static_cast<int64_t>(t), 0.0, 0, 1);
-      }
-    }
+    // Every tapping mode serves the client's own stream from the arrival
+    // instant: no startup wait, and nothing arrives late.
+    if (t >= w_lo) ++result.requests;
     t = arrivals.next();
   }
 
@@ -185,10 +177,6 @@ TappingResult run_tapping_simulation(const TappingConfig& config,
 double optimize_restart_threshold(const TappingConfig& config) {
   // Short pilot runs over a geometric threshold grid; the cost surface is
   // smooth enough that the coarse grid finds a near-optimal restart point.
-  // The pilots are threshold probes, not the simulation the caller asked
-  // for: mask the ambient sink so their requests never leak into the real
-  // run's QoE accounting or metrics.
-  obs::ScopedObsSink silence(nullptr);
   TappingConfig pilot = config;
   pilot.warmup_hours = std::min(config.warmup_hours, 4.0);
   pilot.measured_hours = std::min(config.measured_hours, 60.0);

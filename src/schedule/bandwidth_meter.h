@@ -42,7 +42,7 @@ class BandwidthMeter {
   // bandwidth_slots_measured_total (exporter input; call when done).
   void export_metrics(obs::MetricShard* out) const;
 
-  // One bin per stream count keeps Prometheus le-bucket edges integral.
+  // One bin per stream count keeps the exported bin edges integral.
   static constexpr double kHistogramMax = 512.0;
 
  private:

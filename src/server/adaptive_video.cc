@@ -5,7 +5,6 @@
 #include <span>
 
 #include "obs/flight_recorder.h"
-#include "obs/qoe.h"
 #include "obs/trace.h"
 #include "protocols/static_mapping.h"
 #include "util/check.h"
@@ -69,7 +68,7 @@ AdaptiveVideo::AdaptiveVideo(const AdaptiveVideoConfig& config,
   VOD_CHECK_MSG(mapping_->num_segments() == config_.num_segments,
                 "static mapping segment count mismatch");
   // NPB's stride(s) <= s puts S_1 in every slot: the static rung's startup
-  // wait is one slot (on_slot_arrivals()).
+  // wait is one slot, and a broadcast never misses a deadline.
   VOD_CHECK_MSG(mapping_->period_of(1) == 1,
                 "the static mapping must transmit S_1 every slot");
   VOD_CHECK_MSG(controller_.num_modes() == 3,
@@ -208,15 +207,9 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
   VOD_CHECK_MSG(now_ >= 1, "advance_slot() must run before arrivals");
   estimator_.on_slot(count);
 
-  obs::QoeShard* qoe = obs::current_qoe();
-  if (qoe != nullptr) {
-    qoe->set_context(config_.video_id, static_cast<int32_t>(mode_));
-  }
-
   if (count > 0) {
     if (mode_dynamic(mode_)) {
-      // The scheduler records this batch's QoE itself. Only a probe reads
-      // the plan; without one, nothing is copied out.
+      // Only a probe reads the plan; without one, nothing is copied out.
       if (probe_ == nullptr) {
         scheduler_.on_request_batch_discard(count);
       } else {
@@ -226,15 +219,6 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
     } else {
       last_static_arrival_ = now_;
       has_static_clients_ = true;
-      if (qoe != nullptr) {
-        // Startup wait under the broadcast: S_1 goes out every slot
-        // (checked at construction), so playback starts one slot after any
-        // arrival; and a broadcast never misses a deadline (that is the
-        // mapping's defining property), so continuity is perfect by
-        // construction.
-        qoe->record_admission(count, now_, 1.0, 0,
-                              static_cast<uint64_t>(config_.num_segments));
-      }
       if (probe_ != nullptr) {
         // first_occurrences is 1-based with a dummy entry 0; plans use the
         // scheduler convention (entry k = segment k+1).

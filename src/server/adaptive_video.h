@@ -54,8 +54,8 @@
 //
 // One DhbScheduler serves both dynamic rungs for the video's whole life.
 // It is stepped every slot, idle and static ones included (an empty step
-// is O(1)), so its clock is the video's: every plan, QoE sample and trace
-// event it produces carries the video's own slots.
+// is O(1)), so its clock is the video's: every plan and trace event it
+// produces carries the video's own slots.
 //
 // Determinism: the class consumes no randomness and no clock; its state
 // advances only through advance_slot()/on_slot_arrivals(). The sharded
@@ -100,9 +100,8 @@ struct AdaptiveVideoConfig {
   // Run the per-mode DhbSchedulers on the admission fast path (placement
   // index + same-slot coalescing); bit-identical either way.
   bool fast_admission = true;
-  // Identity stamped on QoE samples and flight-recorder decisions (the
-  // engine sets the catalog rank). Observability-only: no effect on
-  // serving.
+  // Identity stamped on flight-recorder decisions (the engine sets the
+  // catalog rank). Observability-only: no effect on serving.
   uint32_t video_id = 0;
   EwmaConfig ewma;
   ControllerConfig controller = default_adaptive_controller();

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 
-#include "obs/qoe.h"
 #include "obs/trace.h"
 #include "protocols/npb.h"
 #include "schedule/slot_math.h"
@@ -17,11 +16,7 @@
 namespace vod {
 namespace {
 
-// Videos per shard. Fixed — never derived from the thread count — so the
-// shard decomposition, and with it the floating-point order of the merge,
-// is identical at every `num_threads`: that is what makes the result
-// bit-identical whether the shards run inline or on 8 workers.
-constexpr int kShardSize = 64;
+constexpr int kShardSize = MultiVideoConfig::kShardSize;
 
 // Concurrency contract of the engine (DESIGN.md §8/§11): there are no
 // locks here by design. CatalogPlan and the ZipfDistribution are frozen
@@ -188,17 +183,6 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       dhb.coalesce_same_slot = config.fast_admission;
     }
 
-    // QoE identity for this video's admissions. An adaptive video stamps
-    // its own context every slot (its rung moves online); the other two
-    // disciplines keep one rung for the video's whole lifetime — a plain
-    // DHB scheduler is the dhb rung, an always-on NPB broadcast the static
-    // rung. Null when no observer is attached or under VOD_OBSERVE=OFF,
-    // and every recording site below folds away with it.
-    obs::QoeShard* qoe = obs::current_qoe();
-    if (qoe != nullptr && !plan.is_adaptive[idx]) {
-      qoe->set_context(static_cast<uint32_t>(v), is_dhb ? 1 : 2);
-    }
-
     // Flat Poisson by default; the §1 diurnal curve (thinned
     // non-homogeneous Poisson) when a peak rate is configured. Either way
     // one substream per video, so the shard decomposition stays
@@ -277,15 +261,9 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       // EWMA needs the silence as much as the bursts.
       if (adaptive) adaptive->on_slot_arrivals(batch);
       if (batch > 0) {
-        if (scheduler) {
-          scheduler->on_request_batch_discard(batch);
-        } else if (qoe != nullptr && !adaptive) {
-          // Always-on NPB: stream 1 carries segment 1 every slot
-          // (period_of(1) == 1), so playback starts exactly one slot after
-          // any arrival and the pinwheel guarantee rules out late segments.
-          qoe->record_admission(batch, static_cast<int64_t>(step), 1.0, 0,
-                                static_cast<uint64_t>(plan.segments[idx]));
-        }
+        // An always-on NPB broadcast admits nothing: stream 1 carries S_1
+        // every slot, so a request starts one slot after it arrives.
+        if (scheduler) scheduler->on_request_batch_discard(batch);
         if (step > plan.warmup_slots) out->video_requests[local] += batch;
         if (h_batch != nullptr) {
           h_batch->observe(static_cast<double>(batch));

@@ -108,9 +108,16 @@ struct MultiVideoConfig {
   // the calling thread (the sequential path), n >= 2 starts n workers
   // that claim shards in ascending order while the caller waits, 0 means
   // auto (one per hardware thread). The count is capped at the number of
-  // shards and at kMaxThreads (util/parallel_for.h). The result is
+  // shards and at kMaxThreads (util/parallel_for.h), so the engine runs
+  // min(resolve_num_threads(num_threads), shards) workers. The result is
   // bit-identical across all values for a fixed seed.
   int num_threads = 1;
+  // Videos per shard; a catalog of V videos has ceil(V / kShardSize)
+  // shards. Fixed — never derived from the thread count — so the shard
+  // decomposition, and with it the floating-point order of the merge, is
+  // identical at every `num_threads`: that is what makes the result
+  // bit-identical whether the shards run inline or on 8 workers.
+  static constexpr int kShardSize = 64;
 
   // Run each per-video DhbScheduler on its admission fast path (placement
   // index + same-slot batch coalescing). The naive mode exists for

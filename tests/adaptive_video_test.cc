@@ -7,9 +7,8 @@
 #include "analysis/schedule_auditor.h"
 #include "analysis/transition_auditor.h"
 #include "obs/metrics.h"
-#include "obs/qoe.h"
-#include "obs/trace.h"
 #include "protocols/npb.h"
+#include "schedule/client_plan.h"
 
 namespace vod {
 namespace {
@@ -200,6 +199,23 @@ TEST(AdaptiveVideo, InitialStaticRungBroadcastsFromSlotOne) {
   EXPECT_EQ(av.advance_slot(), mapping_for(9).streams());
 }
 
+// Probe that checks every admitted plan: playback starts one slot after
+// the arrival, and every segment arrives by its deadline.
+class StartupProbe : public AdaptiveProbe {
+ public:
+  void on_transition(Slot, ServingMode, ServingMode) override {}
+  void on_admission(const ClientPlan& plan, const std::vector<int>& periods,
+                    uint64_t count, ServingMode mode) override {
+    EXPECT_EQ(mode, ServingMode::kStatic);
+    EXPECT_EQ(plan.reception_slot.front(), plan.arrival_slot + 1);
+    EXPECT_TRUE(verify_plan(plan, periods).deadlines_met);
+    requests += count;
+  }
+  void on_slot(Slot, const std::vector<Segment>&) override {}
+
+  uint64_t requests = 0;
+};
+
 TEST(AdaptiveVideo, StaticRungStartupWaitIsOneSlot) {
   // NPB transmits S_1 every slot, so every request on the static rung
   // starts playback one slot after its arrival and misses no deadline.
@@ -207,38 +223,18 @@ TEST(AdaptiveVideo, StaticRungStartupWaitIsOneSlot) {
   c.controller.initial_mode = static_cast<int>(ServingMode::kStatic);
   c.controller.min_mode = c.controller.max_mode =
       static_cast<int>(ServingMode::kStatic);
-  AdaptiveVideo av(c, &mapping_for(9));
-  obs::QoeShard qoe;
-  obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+  StartupProbe probe;
+  AdaptiveVideo av(c, &mapping_for(9), &probe);
   uint64_t requests = 0;
-  {
-    obs::ScopedObsSink scoped(&sink);
-    for (int i = 0; i < 40; ++i) {
-      av.advance_slot();
-      const uint64_t arrivals = static_cast<uint64_t>(i % 4);
-      av.on_slot_arrivals(arrivals);
-      requests += arrivals;
-    }
+  for (int i = 0; i < 40; ++i) {
+    av.advance_slot();
+    const uint64_t arrivals = static_cast<uint64_t>(i % 4);
+    av.on_slot_arrivals(arrivals);
+    requests += arrivals;
   }
   EXPECT_EQ(av.mode(), ServingMode::kStatic);
-#ifndef VOD_OBSERVE_DISABLED
-  ASSERT_EQ(qoe.total_requests(), requests);
-  // The waits sum to one slot per request, and no bucket's worst wait
-  // exceeds one slot: every wait is exactly one slot.
-  double wait_sum = 0.0;
-  for (const auto& [key, group] : qoe.groups()) {
-    EXPECT_EQ(key.rung, static_cast<int32_t>(ServingMode::kStatic));
-    EXPECT_EQ(group.late_segments, 0u);
-    wait_sum += group.wait.sum();
-    const std::vector<uint64_t>& bins = group.wait.histogram().bins();
-    for (size_t b = 0; b < bins.size(); ++b) {
-      if (bins[b] > 0) {
-        EXPECT_EQ(group.wait.exemplars()[b].value, 1.0);
-      }
-    }
-  }
-  EXPECT_DOUBLE_EQ(wait_sum, static_cast<double>(requests));
-#endif
+  EXPECT_GT(requests, 0u);
+  EXPECT_EQ(probe.requests, requests);
 }
 
 TEST(AdaptiveVideo, FastAndNaiveAdmissionPathsAreBitIdentical) {

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "obs/qoe.h"
+#include "obs/trace.h"
+
 namespace vod {
 namespace {
 
@@ -50,6 +53,36 @@ TEST(Batching, EveryRequestIsServedWithinInterval) {
   EXPECT_EQ(r.requests, 3u);
   // First two share one batch; the third gets its own.
   EXPECT_EQ(r.streams_started, 2u);
+}
+
+TEST(Batching, QoeRecordsEachRequestsWaitToTheBoundary) {
+  // Batching is a protocol whose startup wait varies: a client waits for
+  // the next batch boundary, recorded as the fraction of an interval it
+  // waited. It never misses a deadline once its stream starts.
+  BatchingConfig c = quick(20.0);
+  c.warmup_hours = 0.0;
+  c.measured_hours = 3.0;
+  ScriptedArrivals arrivals({10.0, 10.5, 500.0});
+  obs::QoeShard qoe;
+  obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+  BatchingResult r;
+  {
+    obs::ScopedObsSink scoped(&sink);
+    r = run_batching_simulation(c, arrivals);
+  }
+  ASSERT_EQ(r.requests, 3u);
+#ifndef VOD_OBSERVE_DISABLED
+  const double beta = c.batch_interval_s;
+  double want = 0.0;
+  for (double t : {10.0, 10.5, 500.0}) {
+    want += (std::ceil(t / beta) * beta - t) / beta;
+  }
+  ASSERT_EQ(qoe.total_requests(), 3u);
+  ASSERT_EQ(qoe.groups().size(), 1u);
+  const obs::QoeGroup& group = qoe.groups().begin()->second;
+  EXPECT_DOUBLE_EQ(group.wait.sum(), want);
+  EXPECT_EQ(group.late_segments, 0u);
+#endif
 }
 
 TEST(Batching, NoArrivalsNoStreams) {

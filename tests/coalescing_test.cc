@@ -1,7 +1,9 @@
 // Same-slot request coalescing (DhbConfig::coalesce_same_slot) and the
 // batch entry points: k same-slot requests must be bit-identical to k
-// sequential admissions — plans, lifetime counters AND QoE records — and
-// the memo must go stale on every event that can change a same-slot plan.
+// sequential admissions — plans and lifetime counters — and the memo must
+// go stale on every event that can change a same-slot plan. No entry point
+// records QoE for an uncapped admission; a capped one records its
+// cap violations as late segments.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,27 +38,6 @@ void expect_same_counters(const DhbScheduler& a, const DhbScheduler& b) {
   EXPECT_EQ(a.total_shared(), b.total_shared());
   EXPECT_EQ(a.total_slot_probes(), b.total_slot_probes());
   EXPECT_EQ(a.total_rejected_admissions(), b.total_rejected_admissions());
-}
-
-// Same requests, waits and deadline misses per (video, rung) group.
-// `same_records` also asks for the same number of record_admission()
-// calls: a batch records once, k sequential on_request() calls k times.
-void expect_same_qoe(const obs::QoeShard& a, const obs::QoeShard& b,
-                     bool same_records) {
-  EXPECT_EQ(a.total_requests(), b.total_requests());
-  ASSERT_EQ(a.groups().size(), b.groups().size());
-  auto ib = b.groups().begin();
-  for (const auto& [key, ga] : a.groups()) {
-    const obs::QoeGroup& gb = (ib++)->second;
-    EXPECT_EQ(ga.requests, gb.requests);
-    EXPECT_EQ(ga.segments, gb.segments);
-    EXPECT_EQ(ga.late_segments, gb.late_segments);
-    EXPECT_EQ(ga.wait.count(), gb.wait.count());
-    EXPECT_EQ(ga.wait.sum(), gb.wait.sum());
-    if (same_records) {
-      EXPECT_EQ(ga.admissions, gb.admissions);
-    }
-  }
 }
 
 // Advances both schedulers; true when they transmit the same segments in
@@ -135,16 +116,57 @@ TEST(Coalescing, BatchEqualsSequentialCountersIncluded) {
               sequential.total_coalesced_requests());
     EXPECT_EQ(batched.total_work_units(), discarded.total_work_units());
     EXPECT_EQ(batched.total_work_units(), sequential.total_work_units());
-    expect_same_qoe(batched_qoe, discarded_qoe, /*same_records=*/true);
-    expect_same_qoe(batched_qoe, sequential_qoe, /*same_records=*/false);
-    expect_same_qoe(sequential_qoe, naive_qoe, /*same_records=*/true);
     const std::span<const Segment> sent = batched.advance_slot_view();
     ASSERT_TRUE(std::ranges::equal(sent, discarded.advance_slot_view()));
     ASSERT_TRUE(std::ranges::equal(sent, sequential.advance_slot_view()));
     ASSERT_TRUE(std::ranges::equal(sent, naive.advance_slot_view()));
   }
+  // An uncapped client starts one slot after it arrives and misses no
+  // deadline, so no entry point records its QoE.
+  for (const obs::QoeShard* qoe :
+       {&batched_qoe, &discarded_qoe, &sequential_qoe, &naive_qoe}) {
+    EXPECT_EQ(qoe->total_requests(), 0u);
+    EXPECT_TRUE(qoe->groups().empty());
+  }
+}
+
+TEST(Coalescing, CappedAdmissionsRecordCapViolationsAsLateSegments) {
+  // Four receptions confined to two window slots cannot all respect cap 1,
+  // so some placements are cap violations, which a client limited to one
+  // stream cannot receive in time. Each capped admission, from every
+  // entry point, records one sample whose late segments are its cap
+  // violations.
+  DhbConfig config = coalescing_config(true);
+  config.num_segments = 4;
+  config.periods = {1, 2, 2, 2};
+  config.client_stream_cap = 1;
+  DhbScheduler s(config);
+  obs::QoeShard qoe;
+  recording_qoe(&qoe, [&] {
+    for (int slot = 0; slot < 12; ++slot) {
+      s.advance_slot_view();
+      s.on_request();
+      s.on_request_batch_discard(2);
+      s.on_request_batch(static_cast<uint64_t>(1 + slot % 3));
+      s.on_range(2, 4);
+    }
+  });
+  obs::MetricShard metrics;
+  s.export_metrics(&metrics);
+  const uint64_t exported =
+      metrics.counter_value("dhb_cap_violation_slots_total");
+  ASSERT_GT(exported, 0u);
 #ifndef VOD_OBSERVE_DISABLED
-  EXPECT_GT(batched_qoe.total_requests(), 0u);
+  EXPECT_EQ(qoe.total_requests(), s.total_requests());
+  uint64_t late = 0;
+  uint64_t admissions = 0;
+  for (const auto& [key, group] : qoe.groups()) {
+    late += group.late_segments;
+    admissions += group.admissions;
+    EXPECT_EQ(group.wait.sum(), static_cast<double>(group.requests));
+  }
+  EXPECT_EQ(late, exported);
+  EXPECT_EQ(admissions, s.total_requests());  // one record per request
 #endif
 }
 

@@ -76,7 +76,7 @@ TEST(FlightRecorder, AmbientSinkRoutesCurrentFlight) {
   {
     ScopedObsSink scoped(&sink);
     EXPECT_EQ(obs::current_flight(), &flight);
-    // Masking with a null sink silences recording (the pilot-run pattern).
+    // Masking with a null sink silences recording.
     ScopedObsSink silence(nullptr);
     EXPECT_EQ(obs::current_flight(), nullptr);
   }

@@ -5,17 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/qoe.h"
 #include "obs/trace.h"
 #include "server/multi_video.h"
-#include "sim/arrival_process.h"
-#include "sim/random.h"
 
 namespace vod {
 namespace {
@@ -27,6 +26,22 @@ MultiVideoConfig engine_config() {
   config.total_requests_per_hour = 400.0;
   config.warmup_hours = 1.0;
   config.measured_hours = 10.0;
+  config.seed = 20010416;
+  return config;
+}
+
+// A diurnal adaptive catalog whose controller switches rungs.
+MultiVideoConfig adaptive_config() {
+  MultiVideoConfig config;
+  config.catalog_size = 150;  // 3 shards at kShardSize = 64
+  config.num_segments = 20;
+  config.policy = VideoPolicy::kAdaptive;
+  config.total_requests_per_hour = 40.0;
+  config.diurnal_peak_requests_per_hour = 800.0;
+  config.warmup_hours = 1.0;
+  config.measured_hours = 24.0;
+  config.adaptive.ewma.half_life_slots = 16.0;
+  config.adaptive.controller.min_dwell_slots = 16;
   config.seed = 20010416;
   return config;
 }
@@ -120,18 +135,7 @@ std::string slot_trace_text(const obs::EngineObserver& observer) {
 // MultiVideoResult unchanged but double its recordings, so this is also
 // the engine-level check that each shard runs exactly once.
 TEST(EngineObservability, ObserverOutputsByteIdenticalAcrossThreadCounts) {
-  MultiVideoConfig config;
-  config.catalog_size = 150;  // 3 shards at kShardSize = 64
-  config.num_segments = 20;
-  config.policy = VideoPolicy::kAdaptive;
-  config.total_requests_per_hour = 40.0;
-  config.diurnal_peak_requests_per_hour = 800.0;
-  config.warmup_hours = 1.0;
-  config.measured_hours = 24.0;
-  config.adaptive.ewma.half_life_slots = 16.0;
-  config.adaptive.controller.min_dwell_slots = 16;
-  config.seed = 20010416;
-
+  const MultiVideoConfig config = adaptive_config();
   struct Outputs {
     std::string qoe;
     std::string slo;
@@ -151,9 +155,11 @@ TEST(EngineObservability, ObserverOutputsByteIdenticalAcrossThreadCounts) {
   };
 
   const Outputs base = observe(1);
+  // The engine records no QoE (every client starts one slot after it
+  // arrives and misses no deadline), so its QoE and SLO files are empty.
+  EXPECT_TRUE(base.qoe.empty());
+  EXPECT_TRUE(base.slo.empty());
 #ifndef VOD_OBSERVE_DISABLED
-  EXPECT_FALSE(base.qoe.empty());
-  EXPECT_FALSE(base.slo.empty());
   EXPECT_NE(base.decisions.find("\"kind\":\"decision\""), std::string::npos);
   EXPECT_NE(base.slot_trace.find("adaptive/switch"), std::string::npos);
 #endif
@@ -194,52 +200,54 @@ TEST(EngineObservability, PerShardTracesLandOnOwnTracks) {
 #endif
 }
 
-TEST(EngineObservability, AdmissionInstantsCarryEngineSlots) {
-  // A scheduler is stepped on every engine slot, idle ones included, so
-  // each admission instant carries the engine slot its arrivals fell in.
-  // A 1-video catalog at 2 req/h is idle between almost every pair of
-  // arrivals.
-  obs::EngineObserver observer;
-  MultiVideoConfig config;
-  config.catalog_size = 1;
-  config.total_requests_per_hour = 2.0;
-  config.warmup_hours = 0.0;
-  config.measured_hours = 100.0;
-  config.seed = 7;
-  config.observer = &observer;
-  const MultiVideoResult result = run_multi_video_simulation(config);
-
-  // The same arrivals, drawn independently: video 0 uses substream
-  // fork(1), and slot k takes the arrivals before k * d.
-  PoissonProcess arrivals(per_hour(config.total_requests_per_hour),
-                          Rng(config.seed).fork(1));
-  std::set<int64_t> arrival_slots;
-  uint64_t drawn = 0;
-  double next = arrivals.next();
-  for (uint64_t step = 1; step <= result.measured_slots; ++step) {
-    const double slot_end = static_cast<double>(step) * config.slot_duration_s;
-    for (; next < slot_end; next = arrivals.next(), ++drawn) {
-      arrival_slots.insert(static_cast<int64_t>(step));
-    }
-  }
-  ASSERT_EQ(drawn, result.requests);
-  ASSERT_GT(arrival_slots.size(), 100u);
+TEST(EngineObservability, CatalogsObserveOnlyWhatCanVary) {
+  // An admission's outcome is in the dhb_* counters, and every engine
+  // client starts one slot after it arrives and misses no deadline. So an
+  // observed DHB or hybrid catalog emits one slot-domain event per video
+  // (video/done), an adaptive one adds only its switches, and no catalog
+  // records a QoE sample.
+  MultiVideoConfig hybrid = engine_config();
+  hybrid.policy = VideoPolicy::kHybrid;
+  for (const MultiVideoConfig& config :
+       {engine_config(), hybrid, adaptive_config()}) {
+    SCOPED_TRACE(static_cast<int>(config.policy));
+    obs::EngineObserver observer;
+    MultiVideoConfig observed = config;
+    observed.num_threads = 4;
+    observed.observer = &observer;
+    ASSERT_GT(run_multi_video_simulation(observed).requests, 0u);
 #ifndef VOD_OBSERVE_DISABLED
-  const std::vector<const obs::TraceBuffer*> buffers =
-      observer.trace_buffers();
-  ASSERT_EQ(buffers.size(), 1u);
-  ASSERT_EQ(buffers[0]->dropped(), 0u);
-  std::set<int64_t> admission_slots;
-  for (const obs::TraceEvent& e : buffers[0]->snapshot()) {
-    const std::string name = e.name;
-    if (name == "admission/placed" || name == "admission/shared") {
-      admission_slots.insert(e.ts);
+    EXPECT_GT(observer.merged_metrics().counter_value("dhb_requests_total"),
+              0u);
+    std::map<std::string, uint64_t> names;
+    for (const obs::TraceBuffer* buffer : observer.trace_buffers()) {
+      EXPECT_EQ(buffer->dropped(), 0u);
+      for (const obs::TraceEvent& e : buffer->snapshot()) {
+        if (e.clock == obs::TraceClock::kSlot) ++names[e.name];
+      }
     }
-    // Per-video counter samples would share one Chrome counter track.
-    EXPECT_NE(e.phase, obs::TracePhase::kCounter) << name;
-  }
-  EXPECT_EQ(admission_slots, arrival_slots);
+    EXPECT_EQ(names["video/done"],
+              static_cast<uint64_t>(config.catalog_size));
+    names.erase("video/done");
+    if (config.policy == VideoPolicy::kAdaptive) {
+      EXPECT_GT(names["adaptive/switch"], 0u);
+      names.erase("adaptive/switch");
+      names.erase("heuristic/switch");
+    }
+    EXPECT_TRUE(names.empty()) << names.begin()->first;
 #endif
+    // The same catalog inline (one thread, no observer) under an ambient
+    // sink that carries a QoE shard: a QoE record anywhere in the engine's
+    // call tree would land in it.
+    obs::QoeShard qoe;
+    obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+    {
+      obs::ScopedObsSink scoped(&sink);
+      run_multi_video_simulation(config);
+    }
+    EXPECT_EQ(qoe.total_requests(), 0u);
+    EXPECT_TRUE(qoe.groups().empty());
+  }
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ bool contains(const std::string& haystack, const std::string& needle) {
 
 TEST(ChromeTrace, EnvelopeAndClockDomains) {
   TraceBuffer buffer(16);
-  obs::emit_instant(&buffer, "admission/placed", "dhb", 3, {{"new", 1}});
+  obs::emit_instant(&buffer, "video/done", "engine", 3, {{"rank", 1}});
   obs::emit_counter(&buffer, "streams", "dhb", 4, 7);
   TraceEvent wall;
   wall.name = "shard_kernel";
@@ -49,7 +49,7 @@ TEST(ChromeTrace, EnvelopeAndClockDomains) {
   // Slot events: 1 slot = 1000 us, pid 1, instants carry a scope.
   EXPECT_TRUE(contains(json, "\"ph\":\"i\",\"ts\":3000,\"pid\":1"));
   EXPECT_TRUE(contains(json, "\"s\":\"t\""));
-  EXPECT_TRUE(contains(json, "\"args\":{\"new\":1}"));
+  EXPECT_TRUE(contains(json, "\"args\":{\"rank\":1}"));
   EXPECT_TRUE(contains(json, "\"ph\":\"C\",\"ts\":4000,\"pid\":1"));
   // Wall events: ns -> us with sub-us precision, pid 2.
   EXPECT_TRUE(contains(json, "\"ph\":\"X\",\"ts\":1.500,\"dur\":2.500"));
@@ -66,69 +66,6 @@ TEST(ChromeTrace, MergesBuffersAndCountsDrops) {
   const std::string json = obs::chrome_trace_json({&a, nullptr, &b});
   EXPECT_TRUE(contains(json, "\"droppedEvents\":\"1\""));
   EXPECT_TRUE(contains(json, "\"name\":\"b\""));
-}
-
-TEST(Prometheus, CounterGaugeHistogramExposition) {
-  MetricShard m;
-  m.counter("dhb_requests_total")->inc(42);
-  m.gauge("engine load%")->set(1.25);  // '%' must be sanitized
-  obs::HistogramMetric* h = m.histogram("lat", 0.0, 4.0, 4);
-  h->observe(0.5);
-  h->observe(2.5);
-  h->observe(2.6);
-
-  const std::string text = obs::prometheus_text(m);
-  EXPECT_TRUE(contains(text, "# TYPE vod_dhb_requests_total counter\n"
-                             "vod_dhb_requests_total 42\n"));
-  EXPECT_TRUE(contains(text, "# TYPE vod_engine_load_ gauge\n"
-                             "vod_engine_load_ 1.25\n"));
-  EXPECT_TRUE(contains(text, "# TYPE vod_lat histogram\n"));
-  // Cumulative buckets over the four [0,4) bins, then the +Inf bucket.
-  EXPECT_TRUE(contains(text, "vod_lat_bucket{le=\"1\"} 1\n"));
-  EXPECT_TRUE(contains(text, "vod_lat_bucket{le=\"2\"} 1\n"));
-  EXPECT_TRUE(contains(text, "vod_lat_bucket{le=\"3\"} 3\n"));
-  EXPECT_TRUE(contains(text, "vod_lat_bucket{le=\"4\"} 3\n"));
-  EXPECT_TRUE(contains(text, "vod_lat_bucket{le=\"+Inf\"} 3\n"));
-  EXPECT_TRUE(contains(text, "vod_lat_sum 5.6\n"));
-  EXPECT_TRUE(contains(text, "vod_lat_count 3\n"));
-}
-
-TEST(Prometheus, KeepsExistingPrefix) {
-  MetricShard m;
-  m.counter("vod_already_total")->inc(1);
-  const std::string text = obs::prometheus_text(m);
-  EXPECT_TRUE(contains(text, "vod_already_total 1\n"));
-  EXPECT_FALSE(contains(text, "vod_vod_"));
-}
-
-TEST(Prometheus, SanitizesQoeStyleNames) {
-  // The names the QoE layer mints carry rung labels, video ids, and slot
-  // indices; anything outside [a-zA-Z0-9_:] must map to '_' and colons
-  // must survive (they are legal in the exposition format).
-  MetricShard m;
-  m.counter("qoe rung dhb/wait p99")->inc(1);
-  m.counter("qoe:video-12@slot.5")->inc(2);
-  const std::string text = obs::prometheus_text(m);
-  EXPECT_TRUE(contains(text, "vod_qoe_rung_dhb_wait_p99 1\n"));
-  EXPECT_TRUE(contains(text, "vod_qoe:video_12_slot_5 2\n"));
-}
-
-TEST(Prometheus, QoeExportUsesBoundedRungNames) {
-  QoeShard qoe;
-  qoe.set_context(/*video=*/3, /*rung=*/1);
-  qoe.record_admission(4, /*arrival_slot=*/10, /*wait_slots=*/1.0, 1, 10);
-  qoe.set_context(5, 7);  // off-ladder rung: falls back to "rung7"
-  qoe.record_admission(1, 11, 0.0, 0, 10);
-  MetricShard m;
-  qoe.export_metrics(&m);
-  const std::string text = obs::prometheus_text(m);
-  EXPECT_TRUE(contains(text, "vod_qoe_rung_dhb_requests 4\n"));
-  EXPECT_TRUE(contains(text, "vod_qoe_rung_dhb_late_segments 4\n"));
-  EXPECT_TRUE(contains(text, "# TYPE vod_qoe_rung_dhb_wait_slots histogram"));
-  EXPECT_TRUE(contains(text, "vod_qoe_rung_rung7_requests 1\n"));
-  // Cardinality stays per-rung: no per-video series leak into the
-  // exposition (that detail belongs to the JSONL).
-  EXPECT_FALSE(contains(text, "video"));
 }
 
 TEST(QoeJsonl, GroupLinesCarryHistogramAndExemplars) {
@@ -201,15 +138,21 @@ TEST(Jsonl, SelfDescribingSnapshotPerLine) {
   MetricShard m;
   m.counter("a_total")->inc(2);
   m.gauge("g")->set(0.5);
-  m.histogram("h", 0.0, 2.0, 2)->observe(0.5);
+  obs::HistogramMetric* h = m.histogram("h", 0.0, 2.0, 2);
+  h->observe(0.5);
+  h->observe(1.25);
+  h->observe(1.5);
 
   const std::string text = obs::metrics_jsonl(m);
   EXPECT_TRUE(contains(
       text, "{\"kind\":\"counter\",\"name\":\"a_total\",\"value\":2}\n"));
   EXPECT_TRUE(contains(text,
                        "{\"kind\":\"gauge\",\"name\":\"g\",\"value\":0.5}\n"));
-  EXPECT_TRUE(contains(text, "\"kind\":\"histogram\",\"name\":\"h\""));
-  EXPECT_TRUE(contains(text, "\"bins\":[1,0]"));
+  // A histogram line carries its count, sum and bin layout, and its bins
+  // sum to the count.
+  EXPECT_TRUE(contains(text, "{\"kind\":\"histogram\",\"name\":\"h\","
+                             "\"count\":3,\"sum\":3.25,\"lo\":0,"
+                             "\"bin_width\":1,\"bins\":[1,2]}\n"));
   // Exactly one object per line, and nothing else.
   size_t lines = 0;
   for (char c : text) lines += c == '\n' ? 1 : 0;

@@ -22,7 +22,6 @@ using obs::QoeExemplar;
 using obs::QoeGroup;
 using obs::QoeKey;
 using obs::QoeOptions;
-using obs::QoeRungSummary;
 using obs::QoeSample;
 using obs::QoeShard;
 using obs::SloConfig;
@@ -274,36 +273,6 @@ TEST(QoeShard, MergeIsDeterministicAcrossShardOrders) {
   }
   EXPECT_EQ(merged[0]->groups().size(), 5u);
   EXPECT_EQ(merged[0]->total_requests(), 21u);
-}
-
-TEST(QoeShard, SummarizeRungsFoldsVideosAndScoresSlos) {
-  QoeOptions opt;
-  opt.wait_objective_slots = 8.0;
-  QoeShard q(opt);
-  q.set_context(0, 1);
-  q.record_admission(99, 0, 1.0, 0, 10);
-  q.record_admission(1, 5, 20.0, 0, 10);  // exactly the 1% budget
-  q.set_context(1, 1);                     // second video, same rung
-  q.record_admission(100, 0, 1.0, 0, 10);
-  q.set_context(2, 2);
-  q.record_admission(10, 0, 20.0, 5, 10);  // all wait-bad, 50% late
-  const std::vector<QoeRungSummary> rungs = obs::summarize_rungs(q);
-  ASSERT_EQ(rungs.size(), 2u);
-  EXPECT_EQ(rungs[0].rung, 1);
-  EXPECT_EQ(rungs[0].requests, 200u);
-  // 1 wait-bad of 200 requests is within the 1% budget — and with a 1%
-  // budget the lifetime verdict is exactly the p99 claim, so the p99 sits
-  // in the fast bin despite the 20-slot straggler.
-  EXPECT_TRUE(rungs[0].wait_slo_met);
-  EXPECT_TRUE(rungs[0].continuity_slo_met);
-  EXPECT_DOUBLE_EQ(rungs[0].continuity, 1.0);
-  EXPECT_DOUBLE_EQ(rungs[0].wait_p50, 2.0);  // first 64/32-slot bin edge
-  EXPECT_DOUBLE_EQ(rungs[0].wait_p99, 2.0);
-  EXPECT_EQ(rungs[1].rung, 2);
-  EXPECT_DOUBLE_EQ(rungs[1].wait_p99, 22.0);  // bucket 10's upper edge
-  EXPECT_DOUBLE_EQ(rungs[1].continuity, 0.5);
-  EXPECT_FALSE(rungs[1].continuity_slo_met);
-  EXPECT_FALSE(rungs[1].wait_slo_met);
 }
 
 TEST(QoeShard, RungNamesMatchTheLadder) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "obs/qoe.h"
+#include "obs/trace.h"
 #include "protocols/harmonic.h"
 #include "protocols/patching.h"
 
@@ -17,6 +19,22 @@ TappingConfig quick(double rate, TappingMode mode) {
   c.measured_hours = 100.0;
   c.mode = mode;
   return c;
+}
+
+TEST(StreamTapping, RecordsNoQoe) {
+  // Every mode serves a client's own stream from its arrival instant: no
+  // startup wait and no late segment to record, in the threshold pilots
+  // or the run itself.
+  obs::QoeShard qoe;
+  obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+  obs::ScopedObsSink scoped(&sink);
+  for (TappingMode mode : {TappingMode::kPatching, TappingMode::kStreamTapping,
+                           TappingMode::kIdealMerging}) {
+    TappingConfig c = quick(20.0, mode);
+    c.measured_hours = 10.0;
+    EXPECT_GT(run_tapping_simulation(c).requests, 0u);
+  }
+  EXPECT_EQ(qoe.total_requests(), 0u);
 }
 
 TEST(StreamTapping, FirstRequestStartsOriginal) {
