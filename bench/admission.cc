@@ -34,11 +34,10 @@ int main(int argc, char** argv) {
     Table table({"K", "avg", "max", "deferred %", "avg wait (slots)",
                  "max wait", "rejected %"});
     for (const int cap : {5, 6, 7, 8}) {
-      BoundedSimConfig sim;
-      sim.base = slotted_config(rate);
-      sim.base.measured_hours = 150.0;
+      SlottedSimConfig sim = slotted_config(rate);
+      sim.measured_hours = 150.0;
       sim.channel_cap = cap;
-      const BoundedSimResult r = run_bounded_dhb_simulation(DhbConfig{}, sim);
+      const SlottedSimResult r = run_dhb_simulation(DhbConfig{}, sim);
       const double offered =
           static_cast<double>(r.requests + r.rejected);
       table.add_row(

@@ -9,8 +9,13 @@
 # makes. Without a python3 it prints "python3 not found" and the ctest
 # reports a skip.
 #
+# -DVOD_OBSERVE=OFF names a tree built without the recording hooks: there
+# nothing records a QoE sample, an SLO window or a controller decision, so
+# the trace and metrics are validated as usual and the three files that
+# hold those records must exist and be empty.
+#
 #   cmake -DVODSIM=build/examples/vodsim -DPYTHON3=python3 \
-#         -DSCRIPTS=scripts -DOUT=build/exporters \
+#         -DSCRIPTS=scripts -DOUT=build/exporters -DVOD_OBSERVE=ON \
 #         -P examples/check_vodsim_exporters.cmake
 if(NOT PYTHON3)
   message(STATUS "python3 not found")
@@ -32,14 +37,29 @@ foreach(run "--protocol;multi;--policy;adaptive;--videos;100;--threads;2;--hours
   endif()
 endforeach()
 
-foreach(check "validate_trace.py;${trace};${metrics};${decisions};${qoe};${slo}"
-              "qoe_report.py;${qoe};${slo}"
-              "qoe_report.py;${decisions}")
-  list(POP_FRONT check script)
-  execute_process(COMMAND "${PYTHON3}" "${SCRIPTS}/${script}" ${check}
+function(run_script script)
+  execute_process(COMMAND "${PYTHON3}" "${SCRIPTS}/${script}" ${ARGN}
                   RESULT_VARIABLE code OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
   if(NOT code EQUAL 0)
     message(FATAL_ERROR "${script} exited ${code}: ${err}${out}")
   endif()
-endforeach()
+endfunction()
+
+if(DEFINED VOD_OBSERVE AND NOT VOD_OBSERVE)
+  run_script(validate_trace.py "${trace}" "${metrics}")
+  foreach(file "${decisions}" "${qoe}" "${slo}")
+    if(NOT EXISTS "${file}")
+      message(FATAL_ERROR "vodsim wrote no ${file}")
+    endif()
+    file(SIZE "${file}" size)
+    if(NOT size EQUAL 0)
+      message(FATAL_ERROR "${file} holds ${size} bytes under VOD_OBSERVE=OFF")
+    endif()
+  endforeach()
+else()
+  run_script(validate_trace.py "${trace}" "${metrics}" "${decisions}" "${qoe}"
+             "${slo}")
+  run_script(qoe_report.py "${qoe}" "${slo}")
+  run_script(qoe_report.py "${decisions}")
+endif()

@@ -157,7 +157,7 @@ class DhbScheduler {
   // rule restricted to under-cap slots. Unlimited-client-bandwidth only
   // (client_stream_cap must be 0). Records no QoE: only the caller knows
   // how many slots a deferred request has already waited, so the caller
-  // (run_bounded_dhb_simulation) records it.
+  // (run_dhb_simulation under a channel_cap) records it.
   std::optional<DhbRequestResult> on_request_bounded(int channel_cap);
 
   // Advances to the next slot; returns the segments the server transmits

@@ -12,7 +12,7 @@
 //                   playout deadline.
 //
 // Those paths are batching (the wait to the next batch boundary),
-// bounded-admission deferrals (run_bounded_dhb_simulation) and
+// bounded-admission deferrals (run_dhb_simulation under a channel_cap) and
 // client-capped DHB admissions (whose cap_violations are their late
 // segments). An uncapped DHB, NPB or stream-tapping admission records
 // nothing: its wait and continuity are fixed by construction (DESIGN.md
@@ -105,9 +105,12 @@ struct QoeKey {
 };
 
 struct QoeOptions {
-  // Startup-wait histogram domain, in slots.
+  // Startup-wait histogram domain, in slots. Bins of 1/16 slot separate
+  // the waits every recorder writes: batching's fractions of a batch
+  // interval as well as a bounded deferral's whole slots (up to its
+  // 50-slot default give-up).
   double wait_hi_slots = 64.0;
-  size_t wait_bins = 32;
+  size_t wait_bins = 1024;
   // "p99 startup wait <= W slots": a request is wait-bad when its wait
   // exceeds the objective; with a 1% budget the lifetime verdict is
   // exactly the p99 claim.

@@ -3,41 +3,17 @@
 #include <limits>
 #include <vector>
 
-#include "schedule/bandwidth_meter.h"
-#include "schedule/slot_math.h"
+#include "schedule/slot_loop.h"
 #include "sim/random.h"
 #include "util/check.h"
 
 namespace vod {
+namespace {
 
-SlottedSimResult run_on_demand_simulation(const StaticMapping& mapping,
-                                          const SlottedSimConfig& sim) {
-  PoissonProcess arrivals(per_hour(sim.requests_per_hour), Rng(sim.seed));
-  return run_on_demand_simulation(mapping, sim, arrivals);
-}
-
-SlottedSimResult run_on_demand_simulation(const StaticMapping& mapping,
-                                          const SlottedSimConfig& sim,
-                                          ArrivalProcess& arrivals) {
-  VOD_CHECK(mapping.num_segments() == sim.video.num_segments);
-  const double d = sim.video.slot_duration_s();
-  const uint64_t warmup_slots = horizon_slots(sim.warmup_hours, d);
-  const uint64_t total_slots =
-      warmup_slots + horizon_slots(sim.measured_hours, d);
-
-  BandwidthMeter meter(warmup_slots,
-                       std::max<uint64_t>(1, (total_slots - warmup_slots) / 32));
-  SlottedSimResult result;
-
-  // prev[m] = most recent slot in which the mapping scheduled S_m
-  // (performed or not); last_arrival starts strictly below every prev
-  // value so an idle system transmits nothing.
-  std::vector<Slot> prev(static_cast<size_t>(mapping.num_segments()) + 1,
-                         std::numeric_limits<Slot>::min() / 2);
-  Slot last_arrival = std::numeric_limits<Slot>::min();
-  double next_arrival = arrivals.next();
-
-  for (uint64_t step = 1; step <= total_slots; ++step) {
+// The on-demand variant on the slot loop. Never quiet: a mapping's idle
+// slots still walk its streams to keep prev[] current.
+struct OnDemandRun : SlotVideo {
+  void serve(uint64_t step) {
     const Slot t = static_cast<Slot>(step);
     int busy = 0;
     for (int k = 0; k < mapping.streams(); ++k) {
@@ -49,19 +25,48 @@ SlottedSimResult run_on_demand_simulation(const StaticMapping& mapping,
       prev[static_cast<size_t>(m)] = t;
     }
     meter.add_slot(busy);
-
-    const double slot_end = static_cast<double>(t) * d;
-    while (next_arrival < slot_end) {
-      last_arrival = t;
-      if (step > warmup_slots) ++result.requests;
-      next_arrival = arrivals.next();
-    }
   }
 
-  result.avg_streams = meter.mean_streams();
-  result.max_streams = meter.max_streams();
-  result.avg_ci = meter.mean_ci95();
-  return result;
+  void arrive(uint64_t step, double /*time*/) {
+    last_arrival = static_cast<Slot>(step);
+    if (horizon.measuring(step)) ++result.requests;
+  }
+
+  const StaticMapping& mapping;
+  const SlotHorizon& horizon;
+  BandwidthMeter meter = horizon.meter();
+  // prev[m] = most recent slot in which the mapping scheduled S_m
+  // (performed or not); last_arrival starts strictly below every prev
+  // value so an idle system transmits nothing.
+  std::vector<Slot> prev = std::vector<Slot>(
+      static_cast<size_t>(mapping.num_segments()) + 1,
+      std::numeric_limits<Slot>::min() / 2);
+  Slot last_arrival = std::numeric_limits<Slot>::min();
+  SlottedSimResult result = {};
+};
+
+}  // namespace
+
+SlottedSimResult run_on_demand_simulation(const StaticMapping& mapping,
+                                          const SlottedSimConfig& sim) {
+  PoissonProcess arrivals(per_hour(sim.requests_per_hour), Rng(sim.seed));
+  return run_on_demand_simulation(mapping, sim, arrivals);
+}
+
+SlottedSimResult run_on_demand_simulation(const StaticMapping& mapping,
+                                          const SlottedSimConfig& sim,
+                                          ArrivalProcess& arrivals) {
+  VOD_CHECK(mapping.num_segments() == sim.video.num_segments);
+  VOD_CHECK_MSG(sim.channel_cap == 0,
+                "a channel cap needs DHB's bounded admission");
+  const SlotHorizon horizon(sim.warmup_hours, sim.measured_hours,
+                            sim.video.slot_duration_s());
+  OnDemandRun run{{}, mapping, horizon};
+  run_slots(horizon, arrivals, run);
+  run.result.avg_streams = run.meter.mean_streams();
+  run.result.max_streams = run.meter.max_streams();
+  run.result.avg_ci = run.meter.mean_ci95();
+  return run.result;
 }
 
 }  // namespace vod

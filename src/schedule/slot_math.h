@@ -17,8 +17,9 @@
 //
 // horizon_slots() is the one conversion from simulated hours to a slot
 // count; every slotted driver takes its warm-up and measured horizons
-// through it, so a hostile horizon fails one check instead of reaching an
-// out-of-range float-to-integer cast.
+// through it (SlotHorizon, schedule/slot_loop.h), so a hostile horizon
+// fails one check instead of reaching an out-of-range float-to-integer
+// cast.
 #pragma once
 
 #include <cmath>

@@ -7,7 +7,7 @@
 
 #include "obs/trace.h"
 #include "protocols/npb.h"
-#include "schedule/slot_math.h"
+#include "schedule/slot_loop.h"
 #include "sim/arrival_process.h"
 #include "sim/stats.h"
 #include "util/check.h"
@@ -30,7 +30,12 @@ constexpr int kShardSize = MultiVideoConfig::kShardSize;
 
 // Everything a shard kernel needs, shared read-only across workers.
 struct CatalogPlan {
+  explicit CatalogPlan(const MultiVideoConfig& c)
+      : config(&c),
+        horizon(c.warmup_hours, c.measured_hours, c.slot_duration_s) {}
+
   const MultiVideoConfig* config;
+  SlotHorizon horizon;
   std::vector<int> segments;     // per rank, length in slots
   std::vector<double> rate_kbs;  // per rank, stream rate
   std::vector<bool> is_static;   // per rank, always-on NPB vs DHB
@@ -39,8 +44,6 @@ struct CatalogPlan {
   // Built before the workers start, immutable after (AdaptiveVideo reads
   // only); std::map for deterministic construction order.
   std::map<int, NpbMapping> mappings;
-  uint64_t warmup_slots = 0;
-  uint64_t total_slots = 0;
   double rate_per_s = 0.0;       // aggregate off-peak rate, requests/second
   double peak_per_hour = 0.0;    // diurnal peak, requests/hour (0 = flat)
 };
@@ -101,26 +104,90 @@ struct ProvisionedWindows {
   }
 };
 
-// The first step in [from, last] whose batch holds an arrival at time
-// `next_arrival`, decided by the slot loop's own test
-// next_arrival < step * d; last + 1 when none does (an arrival at +inf,
-// a rate-0 video, included). The test is monotone in the step, and the
-// division only seeds the search, so rounding cannot move the arrival to
-// a neighbouring slot.
-uint64_t arrival_step(double next_arrival, uint64_t from, uint64_t last,
-                      double d) {
-  const auto holds = [&](uint64_t step) {
-    return next_arrival < static_cast<double>(step) * d;
-  };
-  if (!holds(last)) return last + 1;
-  const double guess = next_arrival / d;  // below about `last` here
-  uint64_t step = guess > static_cast<double>(from)
-                      ? std::min(last, static_cast<uint64_t>(guess))
-                      : from;
-  while (step > from && holds(step - 1)) --step;
-  while (!holds(step)) ++step;
-  return step;
-}
+// One catalog video on the slot loop (schedule/slot_loop.h), adding its
+// measured slots into the shard's series. A DHB video is quiet while it
+// has no scheduler or its schedule is empty: DHB transmits nothing until a
+// request comes (§3), and deep in a Zipf tail most slots are like this.
+// Adaptive and static videos are never quiet. A constructor rather than
+// aggregate initialization: GCC block-clears an aggregate this size
+// (rep stos) before filling it, a start-up cost every video of a
+// 10,000-video catalog pays once.
+struct CatalogVideo : SlotVideo {
+  CatalogVideo(const SlotHorizon& h, ShardResult& o, size_t l, double r,
+               obs::HistogramMetric* hb, uint64_t window)
+      : horizon(h), out(o), local(l), rate(r), h_batch(hb),
+        provisioned{window} {}
+
+  bool quiet() const {
+    return is_dhb &&
+           (!scheduler || scheduler->schedule().total_scheduled() == 0);
+  }
+
+  // Every skipped slot sends 0 streams: it counts as idle, adds nothing to
+  // the series, folds into the provisioned windows in closed form, and
+  // moves the scheduler's clock in O(1), so each scheduler runs on the
+  // engine's clock and its plans carry engine slots with no translation.
+  void skip(uint64_t from, uint64_t to) {
+    idle_slots += to - from;
+    const uint64_t first_measured = std::max(from, horizon.warmup + 1);
+    if (to > first_measured) provisioned.add_idle(to - first_measured);
+    if (scheduler) scheduler->advance_to(static_cast<Slot>(to - 1));
+  }
+
+  void serve(uint64_t t) {
+    int streams = fixed_streams;  // a static video: always on, demand or not
+    if (adaptive) {
+      streams = adaptive->advance_slot();
+    } else if (quiet()) {
+      // A quiet video is served only on its next arrival's slot, so a
+      // video that never sees a request inside the horizon builds nothing.
+      ++idle_slots;
+      if (!scheduler) scheduler = std::make_unique<DhbScheduler>(dhb);
+      scheduler->advance_to(static_cast<Slot>(t));
+    } else if (scheduler) {
+      streams = static_cast<int>(scheduler->advance_slot_view().size());
+    }
+    if (!horizon.measuring(t)) return;
+    const size_t slot = static_cast<size_t>(t - horizon.warmup - 1);
+    out.slot_streams[slot] += streams;
+    out.slot_kbs[slot] += streams * rate;
+    out.video_stream_sum[local] += streams;
+    provisioned.add(streams);
+  }
+
+  void arrive(uint64_t /*slot*/, double /*time*/) { ++batch; }
+
+  // The slot's arrivals are admitted as one batch: every same-slot request
+  // gets the identical plan (the scheduler's coalescing memo), so the k-1
+  // followers cost O(1) each. The engine never reads the plan, so the
+  // discarding entry point skips the per-batch plan copy entirely
+  // (counters identical). An adaptive video consumes every slot's batch —
+  // zero included; the EWMA needs the silence as much as the bursts. An
+  // always-on NPB broadcast admits nothing: stream 1 carries S_1 every
+  // slot, so a request starts one slot after it arrives.
+  void close(uint64_t t) {
+    if (adaptive) adaptive->on_slot_arrivals(batch);
+    if (batch == 0) return;
+    if (scheduler) scheduler->on_request_batch_discard(batch);
+    if (horizon.measuring(t)) out.video_requests[local] += batch;
+    if (h_batch != nullptr) h_batch->observe(static_cast<double>(batch));
+    batch = 0;
+  }
+
+  const SlotHorizon& horizon;
+  ShardResult& out;
+  size_t local;  // index into the shard's per-video tallies
+  double rate;   // KB/s per stream
+  obs::HistogramMetric* h_batch;
+  ProvisionedWindows provisioned;
+  bool is_dhb = false;
+  DhbConfig dhb;
+  std::unique_ptr<DhbScheduler> scheduler;  // built at the first arrival
+  std::unique_ptr<AdaptiveVideo> adaptive;
+  int fixed_streams = 0;
+  uint64_t batch = 0;  // arrivals handed over in the current slot
+  uint64_t idle_slots = 0;
+};
 
 // Simulates ranks [first_rank, last_rank) against the shared plan. Each
 // video is an independent thinned Poisson stream (rate λ·p_v) drawn from
@@ -143,44 +210,35 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
           : nullptr;
 
   const MultiVideoConfig& config = *plan.config;
-  const double d = config.slot_duration_s;
-  const uint64_t measured =
-      plan.total_slots - plan.warmup_slots;  // >= 0 by construction
-  out->slot_streams.assign(static_cast<size_t>(measured), 0);
-  out->slot_kbs.assign(static_cast<size_t>(measured), 0.0);
-  out->video_stream_sum.assign(static_cast<size_t>(last_rank - first_rank),
-                               0.0);
-  out->video_requests.assign(static_cast<size_t>(last_rank - first_rank), 0);
-  out->video_provisioned.assign(static_cast<size_t>(last_rank - first_rank),
-                                0.0);
-  out->video_switches.assign(static_cast<size_t>(last_rank - first_rank), 0);
+  const size_t measured = static_cast<size_t>(plan.horizon.measured());
+  const size_t videos = static_cast<size_t>(last_rank - first_rank);
+  out->slot_streams.assign(measured, 0);
+  out->slot_kbs.assign(measured, 0.0);
+  out->video_stream_sum.assign(videos, 0.0);
+  out->video_requests.assign(videos, 0);
+  out->video_provisioned.assign(videos, 0.0);
+  out->video_switches.assign(videos, 0);
 
   const Rng base(config.seed);
   for (int v = first_rank; v < last_rank; ++v) {
     const size_t idx = static_cast<size_t>(v);
     const size_t local = static_cast<size_t>(v - first_rank);
-    const double rate = plan.rate_kbs[idx];
-
-    // A DHB video's scheduler is built at its first arrival inside the
-    // horizon, so a video that never sees a request never builds one.
-    std::unique_ptr<DhbScheduler> scheduler;
-    DhbConfig dhb;
-    std::unique_ptr<AdaptiveVideo> adaptive;
-    int fixed_streams = 0;
-    const bool is_dhb = !plan.is_adaptive[idx] && !plan.is_static[idx];
+    CatalogVideo video(plan.horizon, *out, local, plan.rate_kbs[idx], h_batch,
+                       config.provision_window_slots);
     if (plan.is_adaptive[idx]) {
       AdaptiveVideoConfig acfg = config.adaptive;
       acfg.num_segments = plan.segments[idx];
       acfg.fast_admission = config.fast_admission;
       acfg.video_id = static_cast<uint32_t>(v);
-      adaptive = std::make_unique<AdaptiveVideo>(
+      video.adaptive = std::make_unique<AdaptiveVideo>(
           acfg, &plan.mappings.at(plan.segments[idx]));
     } else if (plan.is_static[idx]) {
-      fixed_streams = NpbMapping::streams_for(plan.segments[idx]);
+      video.fixed_streams = NpbMapping::streams_for(plan.segments[idx]);
     } else {
-      dhb.num_segments = plan.segments[idx];
-      dhb.use_placement_index = config.fast_admission;
-      dhb.coalesce_same_slot = config.fast_admission;
+      video.is_dhb = true;
+      video.dhb.num_segments = plan.segments[idx];
+      video.dhb.use_placement_index = config.fast_admission;
+      video.dhb.coalesce_same_slot = config.fast_admission;
     }
 
     // Flat Poisson by default; the §1 diurnal curve (thinned
@@ -199,100 +257,29 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       arrivals = std::make_unique<PoissonProcess>(
           base_rate_per_s, base.fork(static_cast<uint64_t>(v) + 1));
     }
-    double next_arrival = arrivals->next();
-    uint64_t idle_slots = 0;
-    ProvisionedWindows provisioned;
-    provisioned.window = config.provision_window_slots;
+    run_slots(plan.horizon, *arrivals, video);
 
-    for (uint64_t step = 1; step <= plan.total_slots; ++step) {
-      int streams = 0;
-      if (adaptive) {
-        streams = adaptive->advance_slot();
-      } else if (!is_dhb) {
-        streams = fixed_streams;  // always on, demand or not
-      } else if (scheduler && scheduler->schedule().total_scheduled() > 0) {
-        streams = static_cast<int>(scheduler->advance_slot_view().size());
-      } else {
-        // Nothing scheduled, and DHB transmits nothing until a request
-        // comes (§3): deep in a Zipf tail most steps are like this. Jump to
-        // the step whose batch holds the next arrival; every step up to it
-        // finds the schedule empty and sends 0 streams. Those before it are
-        // folded here, and the step itself runs the body below with 0.
-        const uint64_t to =
-            arrival_step(next_arrival, step, plan.total_slots, d);
-        idle_slots += std::min(to, plan.total_slots) - step + 1;
-        const uint64_t first_measured = std::max(step, plan.warmup_slots + 1);
-        if (to > first_measured) provisioned.add_idle(to - first_measured);
-        if (to > plan.total_slots) {
-          // No arrival left in the horizon: the clock still ends on the
-          // engine's last slot.
-          if (scheduler) {
-            scheduler->advance_to(static_cast<Slot>(plan.total_slots));
-          }
-          break;
-        }
-        if (!scheduler) scheduler = std::make_unique<DhbScheduler>(dhb);
-        scheduler->advance_to(static_cast<Slot>(to));
-        step = to;
-      }
-
-      if (step > plan.warmup_slots) {
-        const size_t slot = static_cast<size_t>(step - plan.warmup_slots - 1);
-        out->slot_streams[slot] += streams;
-        out->slot_kbs[slot] += streams * rate;
-        out->video_stream_sum[local] += streams;
-        provisioned.add(streams);
-      }
-
-      // Drain this slot's Poisson arrivals first, then admit them as one
-      // batch: every same-slot request gets the identical plan (the
-      // scheduler's coalescing memo), so the k-1 followers cost O(1) each.
-      // The engine never reads the plan, so the discarding entry point
-      // skips the per-batch plan copy entirely (counters identical).
-      // The arrival draws and the admissions use independent rng streams,
-      // so reordering draw-vs-admit changes nothing.
-      const double slot_end = static_cast<double>(step) * d;
-      uint64_t batch = 0;
-      while (next_arrival < slot_end) {
-        ++batch;
-        next_arrival = arrivals->next();
-      }
-      // An adaptive video consumes every slot's batch — zero included; the
-      // EWMA needs the silence as much as the bursts.
-      if (adaptive) adaptive->on_slot_arrivals(batch);
-      if (batch > 0) {
-        // An always-on NPB broadcast admits nothing: stream 1 carries S_1
-        // every slot, so a request starts one slot after it arrives.
-        if (scheduler) scheduler->on_request_batch_discard(batch);
-        if (step > plan.warmup_slots) out->video_requests[local] += batch;
-        if (h_batch != nullptr) {
-          h_batch->observe(static_cast<double>(batch));
-        }
-      }
-    }
-
-    out->video_provisioned[local] = provisioned.mean();
-    if (adaptive) out->video_switches[local] = adaptive->switches();
+    out->video_provisioned[local] = video.provisioned.mean();
+    if (video.adaptive) out->video_switches[local] = video.adaptive->switches();
 
     if (metrics != nullptr) {
       metrics->counter("engine_videos_total")->inc();
-      metrics->counter("engine_idle_slots_total")->inc(idle_slots);
+      metrics->counter("engine_idle_slots_total")->inc(video.idle_slots);
       metrics->counter("engine_requests_total")
           ->inc(out->video_requests[local]);
       // Fold the per-video scheduler's dhb_* counters into this shard so
       // the catalog-wide totals survive the scheduler's destruction. A
       // video that never saw a request built none and exports nothing.
-      if (scheduler) scheduler->export_metrics(metrics);
-      if (adaptive) adaptive->export_metrics(metrics);
+      if (video.scheduler) video.scheduler->export_metrics(metrics);
+      if (video.adaptive) video.adaptive->export_metrics(metrics);
     }
     VOD_TRACE_INSTANT("video/done", "engine",
-                      static_cast<int64_t>(plan.total_slots), {"rank", v},
+                      static_cast<int64_t>(plan.horizon.total), {"rank", v},
                       {"requests",
                        static_cast<int64_t>(out->video_requests[local])},
-                      {"idle_slots", static_cast<int64_t>(idle_slots)});
+                      {"idle_slots", static_cast<int64_t>(video.idle_slots)});
   }
 }
-
 }  // namespace
 
 MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
@@ -312,13 +299,8 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
   VOD_CHECK_MSG(config.num_threads >= 0, "num_threads: 0 = auto, n >= 1");
 
   const int V = config.catalog_size;
-  const double d = config.slot_duration_s;
 
-  CatalogPlan plan;
-  plan.config = &config;
-  plan.warmup_slots = horizon_slots(config.warmup_hours, d);
-  plan.total_slots =
-      plan.warmup_slots + horizon_slots(config.measured_hours, d);
+  CatalogPlan plan(config);
   plan.rate_per_s = per_hour(config.total_requests_per_hour);
   plan.peak_per_hour = config.diurnal_peak_requests_per_hour;
 
@@ -406,7 +388,7 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
   // Deterministic merge: shard slot-series are aligned (every shard spans
   // the same measured slots), so summing them in shard order rebuilds the
   // aggregate per-slot totals exactly as a sequential pass would.
-  const uint64_t measured = plan.total_slots - plan.warmup_slots;
+  const uint64_t measured = plan.horizon.measured();
   MultiVideoResult result;
   result.measured_slots = measured;
   result.per_video_avg.assign(static_cast<size_t>(V), 0.0);

@@ -17,7 +17,7 @@ EwmaRateEstimator::EwmaRateEstimator(const EwmaConfig& config)
 
 void EwmaRateEstimator::on_slot(uint64_t arrivals) {
   const double x = static_cast<double>(arrivals);
-  if (slots_ == 0) {
+  if (!seeded_) {
     // Seed with the first observation rather than decaying toward it from
     // an arbitrary zero: a video that starts hot should not spend half a
     // half-life looking cold.
@@ -25,7 +25,7 @@ void EwmaRateEstimator::on_slot(uint64_t arrivals) {
   } else {
     estimate_ += alpha_ * (x - estimate_);
   }
-  ++slots_;
+  seeded_ = true;
 }
 
 }  // namespace vod

@@ -13,11 +13,12 @@
 // and the estimator derives alpha = 1 - 2^(-1/H). That keeps configs
 // meaningful when the slot duration changes.
 //
-// Warm-up semantics (the degenerate-config contract): with zero observed
-// slots the estimate is exactly 0.0 — never NaN, never a division by zero —
-// and warmed_up() is false until `warmup_slots` slots have been fed. A
-// stream with rate 0 (a dead video) therefore reports estimate 0.0 forever,
-// which the controller maps to the lowest rung of its ladder.
+// The degenerate-config contract: with zero observed slots the estimate is
+// exactly 0.0 — never NaN, never a division by zero — and the first slot
+// seeds it. A stream with rate 0 (a dead video) therefore reports estimate
+// 0.0 forever, which the controller maps to the lowest rung of its ladder.
+// The estimator has no warm-up gate: what holds the controller's initial
+// mode is its minimum dwell (ControllerConfig::min_dwell_slots).
 #pragma once
 
 #include <cstdint>
@@ -30,10 +31,6 @@ struct EwmaConfig {
   // paper's 72.7 s slot) follows a diurnal curve with ~5% lag while
   // smoothing Poisson noise to a few percent at moderate rates.
   double half_life_slots = 64.0;
-  // Slots that must be observed before warmed_up() reports true; the
-  // controller holds its initial mode until then. 0 means "trust the very
-  // first slot".
-  uint64_t warmup_slots = 16;
 };
 
 class EwmaRateEstimator {
@@ -48,14 +45,11 @@ class EwmaRateEstimator {
   // on_slot(); never NaN or negative.
   double estimate() const { return estimate_; }
 
-  uint64_t slots_observed() const { return slots_; }
-  bool warmed_up() const { return slots_ >= config_.warmup_slots; }
-
  private:
   EwmaConfig config_;
   double alpha_ = 0.0;     // derived: 1 - 2^(-1/half_life)
   double estimate_ = 0.0;  // arrivals/slot
-  uint64_t slots_ = 0;
+  bool seeded_ = false;    // a slot has been observed
 };
 
 }  // namespace vod

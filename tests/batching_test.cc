@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "obs/qoe.h"
 #include "obs/trace.h"
@@ -82,6 +84,45 @@ TEST(Batching, QoeRecordsEachRequestsWaitToTheBoundary) {
   const obs::QoeGroup& group = qoe.groups().begin()->second;
   EXPECT_DOUBLE_EQ(group.wait.sum(), want);
   EXPECT_EQ(group.late_segments, 0u);
+#endif
+}
+
+TEST(Batching, QoeWaitQuantilesResolveFractionsOfAnInterval) {
+  // One request per interval, waiting k/100 of it for k = 0..99 — the
+  // spread Poisson arrivals give. The wait histogram must tell them apart:
+  // its p50 and p99 are bin upper edges within one bin width of the true
+  // quantiles (the smallest wait with at least that fraction at or below).
+  BatchingConfig c = quick(20.0);
+  c.warmup_hours = 0.0;
+  c.measured_hours = 3.0;
+  const double beta = c.batch_interval_s;
+  std::vector<double> times;
+  std::vector<double> waits;
+  for (int k = 0; k < 100; ++k) {
+    const double t = (k + 1) * beta - (k / 100.0) * beta;
+    times.push_back(t);
+    waits.push_back((std::ceil(t / beta) * beta - t) / beta);
+  }
+  std::sort(waits.begin(), waits.end());
+  ScriptedArrivals arrivals(times);
+  obs::QoeShard qoe;
+  obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
+  BatchingResult r;
+  {
+    obs::ScopedObsSink scoped(&sink);
+    r = run_batching_simulation(c, arrivals);
+  }
+  ASSERT_EQ(r.requests, 100u);
+#ifndef VOD_OBSERVE_DISABLED
+  ASSERT_EQ(qoe.groups().size(), 1u);
+  const obs::ExemplarHistogram& wait = qoe.groups().begin()->second.wait;
+  ASSERT_EQ(wait.count(), 100u);
+  const double width = wait.histogram().bin_width();
+  const double p50 = wait.quantile(0.50);
+  const double p99 = wait.quantile(0.99);
+  EXPECT_LT(p50, p99);
+  EXPECT_NEAR(p50, waits[49], width);
+  EXPECT_NEAR(p99, waits[98], width);
 #endif
 }
 

@@ -7,6 +7,7 @@
 #include "core/dhb_simulator.h"
 #include "obs/qoe.h"
 #include "protocols/npb.h"
+#include "schedule/slot_math.h"
 #include "sim/random.h"
 
 namespace vod {
@@ -130,27 +131,27 @@ TEST(BoundedAdmissionDeath, RequiresUncappedClients) {
   EXPECT_DEATH(s.on_request_bounded(4), "unlimited client bandwidth");
 }
 
-BoundedSimConfig bounded_sim(double rate, int cap) {
-  BoundedSimConfig sim;
-  sim.base.requests_per_hour = rate;
-  sim.base.warmup_hours = 4.0;
-  sim.base.measured_hours = 80.0;
+SlottedSimConfig bounded_sim(double rate, int cap) {
+  SlottedSimConfig sim;
+  sim.requests_per_hour = rate;
+  sim.warmup_hours = 4.0;
+  sim.measured_hours = 80.0;
   sim.channel_cap = cap;
   return sim;
 }
 
 TEST(BoundedSimulation, CapIsNeverExceeded) {
   for (int cap : {5, 6, 8}) {
-    const BoundedSimResult r =
-        run_bounded_dhb_simulation(DhbConfig{}, bounded_sim(500.0, cap));
+    const SlottedSimResult r =
+        run_dhb_simulation(DhbConfig{}, bounded_sim(500.0, cap));
     EXPECT_LE(r.max_streams, static_cast<double>(cap)) << cap;
     EXPECT_TRUE(r.playout_ok) << cap;
   }
 }
 
 TEST(BoundedSimulation, GenerousCapMeansNoDeferrals) {
-  const BoundedSimResult r =
-      run_bounded_dhb_simulation(DhbConfig{}, bounded_sim(100.0, 12));
+  const SlottedSimResult r =
+      run_dhb_simulation(DhbConfig{}, bounded_sim(100.0, 12));
   EXPECT_EQ(r.deferred, 0u);
   EXPECT_EQ(r.rejected, 0u);
   EXPECT_DOUBLE_EQ(r.avg_extra_wait_slots, 0.0);
@@ -160,8 +161,8 @@ TEST(BoundedSimulation, TightCapDefersButServes) {
   // Cap at NPB's 6 streams: Figure 8 says unbounded DHB peaks at 8, so a
   // few requests must wait — but the system still serves nearly everyone
   // with tiny average extra wait.
-  const BoundedSimResult r =
-      run_bounded_dhb_simulation(DhbConfig{}, bounded_sim(500.0, 6));
+  const SlottedSimResult r =
+      run_dhb_simulation(DhbConfig{}, bounded_sim(500.0, 6));
   EXPECT_GT(r.deferred, 0u);
   EXPECT_GT(r.requests, 0u);
   EXPECT_LT(r.avg_extra_wait_slots, 1.0);
@@ -170,10 +171,10 @@ TEST(BoundedSimulation, TightCapDefersButServes) {
 }
 
 TEST(BoundedSimulation, WaitGrowsAsCapShrinks) {
-  const BoundedSimResult loose =
-      run_bounded_dhb_simulation(DhbConfig{}, bounded_sim(500.0, 7));
-  const BoundedSimResult tight =
-      run_bounded_dhb_simulation(DhbConfig{}, bounded_sim(500.0, 6));
+  const SlottedSimResult loose =
+      run_dhb_simulation(DhbConfig{}, bounded_sim(500.0, 7));
+  const SlottedSimResult tight =
+      run_dhb_simulation(DhbConfig{}, bounded_sim(500.0, 6));
   EXPECT_LE(loose.avg_extra_wait_slots, tight.avg_extra_wait_slots);
   EXPECT_LE(loose.deferred, tight.deferred);
 }
@@ -184,8 +185,8 @@ TEST(BoundedSimulation, SubHarmonicCapSelfBatchesGracefully) {
   // same admission slots, where they share everything — the queue turns
   // DHB into a batching protocol with bounded extra wait and no
   // rejections. (An emergent property worth a test of its own.)
-  const BoundedSimResult r =
-      run_bounded_dhb_simulation(DhbConfig{}, bounded_sim(1000.0, 5));
+  const SlottedSimResult r =
+      run_dhb_simulation(DhbConfig{}, bounded_sim(1000.0, 5));
   EXPECT_EQ(r.rejected, 0u);
   EXPECT_GT(r.deferred, r.requests / 5);     // lots of waiting...
   EXPECT_LE(r.max_extra_wait_slots, 10);     // ...but never long
@@ -197,15 +198,15 @@ TEST(BoundedSimulation, QoeWaitCountsTheDeferral) {
   // A request admitted k slots after it arrived receives S_1 k + 1 slots
   // after its arrival slot, so with no warm-up the recorded waits sum to
   // requests x (1 + avg_extra_wait_slots).
-  BoundedSimConfig sim = bounded_sim(600.0, 5);
-  sim.base.warmup_hours = 0.0;
-  sim.base.measured_hours = 40.0;
+  SlottedSimConfig sim = bounded_sim(600.0, 5);
+  sim.warmup_hours = 0.0;
+  sim.measured_hours = 40.0;
   obs::QoeShard qoe;
   obs::ObsSink sink{nullptr, nullptr, &qoe, nullptr};
-  BoundedSimResult r;
+  SlottedSimResult r;
   {
     obs::ScopedObsSink scoped(&sink);
-    r = run_bounded_dhb_simulation(DhbConfig{}, sim);
+    r = run_dhb_simulation(DhbConfig{}, sim);
   }
   ASSERT_GT(r.deferred, 0u);
 #ifndef VOD_OBSERVE_DISABLED
@@ -214,6 +215,91 @@ TEST(BoundedSimulation, QoeWaitCountsTheDeferral) {
   for (const auto& [key, group] : qoe.groups()) wait_sum += group.wait.sum();
   EXPECT_DOUBLE_EQ(wait_sum, static_cast<double>(r.requests) *
                                  (1.0 + r.avg_extra_wait_slots));
+#endif
+}
+
+// Every field, compared exactly.
+void expect_same_result(const SlottedSimResult& a, const SlottedSimResult& b) {
+  EXPECT_EQ(a.avg_streams, b.avg_streams);
+  EXPECT_EQ(a.max_streams, b.max_streams);
+  EXPECT_EQ(a.p99_streams, b.p99_streams);
+  EXPECT_EQ(a.p999_streams, b.p999_streams);
+  EXPECT_EQ(a.avg_ci.mean, b.avg_ci.mean);
+  EXPECT_EQ(a.avg_ci.half_width, b.avg_ci.half_width);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.new_instances_per_request, b.new_instances_per_request);
+  EXPECT_EQ(a.shared_fraction, b.shared_fraction);
+  EXPECT_EQ(a.cap_violations, b.cap_violations);
+  EXPECT_EQ(a.max_client_streams, b.max_client_streams);
+  EXPECT_EQ(a.max_client_buffer_segments, b.max_client_buffer_segments);
+  EXPECT_EQ(a.playout_ok, b.playout_ok);
+  EXPECT_EQ(a.avg_wait_s, b.avg_wait_s);
+  EXPECT_EQ(a.max_wait_s, b.max_wait_s);
+  EXPECT_EQ(a.deferred, b.deferred);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.avg_extra_wait_slots, b.avg_extra_wait_slots);
+  EXPECT_EQ(a.max_extra_wait_slots, b.max_extra_wait_slots);
+}
+
+TEST(BoundedSimulation, NonBindingCapEqualsUnbounded) {
+  // No slot reaches 1,000 streams, so every bounded admission succeeds on
+  // its first try and places exactly what the unbounded rule places.
+  for (const double rate : {2.0, 30.0, 200.0, 1000.0}) {
+    SCOPED_TRACE(rate);
+    SlottedSimConfig sim = bounded_sim(rate, 1000);
+    sim.measured_hours = 30.0;
+    const SlottedSimResult capped = run_dhb_simulation(DhbConfig{}, sim);
+    sim.channel_cap = 0;
+    const SlottedSimResult unbounded = run_dhb_simulation(DhbConfig{}, sim);
+    ASSERT_GT(unbounded.requests, 0u);
+    expect_same_result(capped, unbounded);
+  }
+}
+
+TEST(BoundedSimulation, BindingCapWaitIncludesTheDeferral) {
+  SlottedSimConfig sim = bounded_sim(500.0, 5);
+  const SlottedSimResult capped = run_dhb_simulation(DhbConfig{}, sim);
+  sim.channel_cap = 0;
+  const SlottedSimResult unbounded = run_dhb_simulation(DhbConfig{}, sim);
+  ASSERT_GT(capped.deferred, 0u);
+  const double d = sim.video.slot_duration_s();
+  EXPECT_LT(unbounded.max_wait_s, d);
+  EXPECT_GT(capped.avg_wait_s, unbounded.avg_wait_s);
+  EXPECT_GE(capped.max_wait_s, d * capped.max_extra_wait_slots);
+  EXPECT_LE(capped.max_wait_s, d * (capped.max_extra_wait_slots + 1));
+}
+
+TEST(BoundedSimulation, WaitingRequestsAreAdmittedFirst) {
+  // A request never tries ahead of one still waiting: after a refusal the
+  // rest of the slot's requests queue behind it, so no slot refuses twice,
+  // and within an admission slot the oldest request is admitted first.
+  SlottedSimConfig sim = bounded_sim(1000.0, 5);
+  sim.warmup_hours = 0.0;
+  sim.measured_hours = 10.0;
+  obs::MetricShard metrics;
+  obs::QoeOptions options;
+  options.sample_ring_capacity = size_t{1} << 16;
+  obs::QoeShard qoe(options);
+  obs::ObsSink sink{&metrics, nullptr, &qoe, nullptr};
+  SlottedSimResult r;
+  {
+    obs::ScopedObsSink scoped(&sink);
+    r = run_dhb_simulation(DhbConfig{}, sim);
+  }
+  ASSERT_GT(r.deferred, 0u);
+  const uint64_t slots =
+      horizon_slots(sim.measured_hours, sim.video.slot_duration_s());
+  const uint64_t refused =
+      metrics.counter_value("dhb_rejected_admissions_total");
+  EXPECT_GT(refused, 0u);
+  EXPECT_LE(refused, slots);
+#ifndef VOD_OBSERVE_DISABLED
+  const std::vector<obs::QoeSample> samples = qoe.recent_samples();
+  ASSERT_EQ(samples.size(), r.requests);
+  for (size_t i = 1; i < samples.size(); ++i) {
+    if (samples[i].slot != samples[i - 1].slot) continue;
+    EXPECT_LE(samples[i].wait_slots, samples[i - 1].wait_slots) << i;
+  }
 #endif
 }
 

@@ -44,7 +44,6 @@ TEST(MultiVideoDifferential, OneVideoCatalogMatchesSingleVideoDriver) {
       sim.warmup_hours = 4.0;
       sim.measured_hours = 40.0;
       sim.seed = seed;
-      sim.verify_playout = false;
       DhbConfig dhb;
       dhb.num_segments = sim.video.num_segments;
       PoissonProcess arrivals(per_hour(rate), Rng(seed).fork(1));

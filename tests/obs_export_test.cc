@@ -79,9 +79,9 @@ TEST(QoeJsonl, GroupLinesCarryHistogramAndExemplars) {
   EXPECT_TRUE(contains(text, "\"admissions\":2,\"requests\":4,"
                              "\"segments\":40,\"late_segments\":2"));
   EXPECT_TRUE(contains(text, "\"wait_count\":4"));
-  // The straggler's exemplar: bucket 4 of the 2-slot bins, the second
+  // The straggler's exemplar: bucket 144 of the 1/16-slot bins, the second
   // admission's request id (2 << 32 | 3) at its arrival slot.
-  EXPECT_TRUE(contains(text, "\"bucket\":4,\"request_id\":8589934595,"
+  EXPECT_TRUE(contains(text, "\"bucket\":144,\"request_id\":8589934595,"
                              "\"slot\":44,\"value\":9"));
   size_t lines = 0;
   for (char c : text) lines += c == '\n' ? 1 : 0;

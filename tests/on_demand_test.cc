@@ -156,5 +156,12 @@ TEST(OnDemand, OneRequestCostsOneVideoOnAnyMapping) {
   }
 }
 
+TEST(OnDemandDeath, RejectsAChannelCap) {
+  SlottedSimConfig sim = quick_sim(10.0, 15);
+  sim.channel_cap = 4;
+  EXPECT_DEATH(run_on_demand_simulation(FbMapping(15), sim),
+               "a channel cap needs DHB's bounded admission");
+}
+
 }  // namespace
 }  // namespace vod

@@ -7,20 +7,17 @@
 namespace vod {
 namespace {
 
-EwmaConfig cfg(double half_life, uint64_t warmup = 0) {
+EwmaConfig cfg(double half_life) {
   EwmaConfig c;
   c.half_life_slots = half_life;
-  c.warmup_slots = warmup;
   return c;
 }
 
 TEST(RateEstimator, ZeroObservedSlotsIsExactlyZero) {
   // The degenerate-config contract: no slots fed -> estimate 0.0, not NaN,
   // not a division by zero.
-  EwmaRateEstimator e(cfg(64.0, 16));
-  EXPECT_EQ(e.slots_observed(), 0u);
+  EwmaRateEstimator e(cfg(64.0));
   EXPECT_DOUBLE_EQ(e.estimate(), 0.0);
-  EXPECT_FALSE(e.warmed_up());
   EXPECT_FALSE(std::isnan(e.estimate()));
 }
 
@@ -33,13 +30,11 @@ TEST(RateEstimator, FirstSlotSeedsTheEstimate) {
 }
 
 TEST(RateEstimator, DeadVideoStaysAtZeroForever) {
-  EwmaRateEstimator e(cfg(8.0, 4));
+  EwmaRateEstimator e(cfg(8.0));
   for (int i = 0; i < 1000; ++i) {
     e.on_slot(0);
     EXPECT_DOUBLE_EQ(e.estimate(), 0.0);
   }
-  EXPECT_TRUE(e.warmed_up());
-  EXPECT_EQ(e.slots_observed(), 1000u);
 }
 
 TEST(RateEstimator, HalfLifeMeansHalfTheWeight) {
@@ -67,20 +62,6 @@ TEST(RateEstimator, ZeroSlotsAreObservationsNotNoOps) {
   e.on_slot(0);
   EXPECT_LT(e.estimate(), seeded);
   EXPECT_GT(e.estimate(), 0.0);
-}
-
-TEST(RateEstimator, WarmupCountsSlots) {
-  EwmaRateEstimator e(cfg(64.0, 3));
-  e.on_slot(1);
-  e.on_slot(1);
-  EXPECT_FALSE(e.warmed_up());
-  e.on_slot(1);
-  EXPECT_TRUE(e.warmed_up());
-}
-
-TEST(RateEstimator, ZeroWarmupTrustsTheFirstSlot) {
-  EwmaRateEstimator e(cfg(64.0, 0));
-  EXPECT_TRUE(e.warmed_up());  // vacuously: nothing to wait for
 }
 
 TEST(RateEstimator, NeverNegativeNeverNaN) {
