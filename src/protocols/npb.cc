@@ -86,8 +86,11 @@ std::optional<NpbMapping> NpbMapping::build(int streams, int num_segments) {
   }
   m.entries_.resize(placed.size());
   std::vector<int> fill(m.stream_offsets_.begin(), m.stream_offsets_.end() - 1);
+  m.stream_max_period_.assign(static_cast<size_t>(streams), 0);
   for (const auto& [k, e] : placed) {
     m.entries_[static_cast<size_t>(fill[static_cast<size_t>(k)]++)] = e;
+    Slot& widest = m.stream_max_period_[static_cast<size_t>(k)];
+    widest = std::max(widest, e.stride);
   }
 
   m.cycle_len_ = 1;

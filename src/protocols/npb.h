@@ -47,6 +47,13 @@ class NpbMapping final : public StaticMapping {
   // Transmission period of segment j (its stride).
   Slot period_of(Segment j) const;
 
+  // Largest transmission period among the segments stream k carries (0
+  // when it carries none): how long a client admitted to the broadcast can
+  // still need that stream.
+  Slot stream_max_period(int k) const {
+    return stream_max_period_[static_cast<size_t>(k)];
+  }
+
   // Analytic validation: strides within deadlines, residue classes disjoint
   // per stream, every segment placed exactly once.
   MappingValidation validate() const;
@@ -86,6 +93,7 @@ class NpbMapping final : public StaticMapping {
   std::vector<int> stream_offsets_;  // [streams_ + 1]
   std::vector<Entry> entries_;       // all placements, grouped by stream
   std::vector<Slot> period_;         // period_[j] = stride of S_j
+  std::vector<Slot> stream_max_period_;  // [streams_]: largest stride on k
 };
 
 }  // namespace vod

@@ -75,22 +75,7 @@ AdaptiveVideo::AdaptiveVideo(const AdaptiveVideoConfig& config,
                 "the adaptive ladder has exactly three rungs "
                 "(reactive / dhb / static)");
 
-  // Per-stream drain horizons: the largest transmission period packed on a
-  // stream bounds how long any client could still be waiting for it. Every
-  // segment's period divides into the first num_segments slots (period <=
-  // segment index <= n), so scanning one n-slot window sees every segment
-  // the stream carries.
-  const int streams = mapping_->streams();
-  stream_max_period_.assign(static_cast<size_t>(streams), 0);
-  for (int r = 0; r < streams; ++r) {
-    Slot max_period = 0;
-    for (Slot s = 1; s <= static_cast<Slot>(config_.num_segments); ++s) {
-      const Segment seg = mapping_->segment_at(r, s);
-      if (seg != 0) max_period = std::max(max_period, mapping_->period_of(seg));
-    }
-    stream_max_period_[static_cast<size_t>(r)] = max_period;
-  }
-  static_off_slot_.assign(static_cast<size_t>(streams), 0);
+  static_off_slot_.assign(static_cast<size_t>(mapping_->streams()), 0);
   static_periods_.resize(static_cast<size_t>(config_.num_segments));
   for (int j = 1; j <= config_.num_segments; ++j) {
     static_periods_[static_cast<size_t>(j - 1)] =
@@ -138,12 +123,15 @@ void AdaptiveVideo::commit_transition(ServingMode to) {
   } else {
     // static -> dynamic: admissions move to the dynamic scheduler; each
     // broadcast stream stays on through the last slot any already-admitted
-    // static client could still need it, then shuts off.
+    // static client could still need it (the largest period the stream
+    // carries), then shuts off.
     static_on_ = false;
     for (size_t r = 0; r < static_off_slot_.size(); ++r) {
       static_off_slot_[r] =
-          has_static_clients_ ? last_static_arrival_ + stream_max_period_[r]
-                              : now_ - 1;
+          has_static_clients_
+              ? last_static_arrival_ +
+                    mapping_->stream_max_period(static_cast<int>(r))
+              : now_ - 1;
     }
     // A schedule still draining from the dynamic->static switch keeps
     // playing out — its committed plans are valid under any rule.

@@ -208,7 +208,6 @@ class AdaptiveVideo {
   bool static_on_ = false;
   std::vector<Slot> static_off_slot_;     // per stream: transmit through
                                           // this slot while draining
-  std::vector<Slot> stream_max_period_;   // per stream: largest packed period
   std::vector<int> static_periods_;       // per segment: period_of(j)
   Slot last_static_arrival_ = 0;
   bool has_static_clients_ = false;

