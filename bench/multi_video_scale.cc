@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/multi_video.h"
@@ -44,8 +45,10 @@ struct Measurement {
   double requests_per_sec = 0.0;  // measured requests per wall second
   double slots_per_sec = 0.0;     // video-slots simulated per wall second
   double speedup = 1.0;           // vs the 1-thread run of the same catalog
+  double avg_streams = 0.0;
+  double max_streams = 0.0;
+  uint64_t requests = 0;
   uint64_t checksum = 0;          // FNV-1a over every per-video figure
-  MultiVideoResult result;
 };
 
 void mix(uint64_t v, uint64_t* checksum) {
@@ -83,32 +86,35 @@ MultiVideoConfig scale_config(int catalog) {
   return c;
 }
 
-bool identical(const Measurement& a, const Measurement& b) {
-  return a.checksum == b.checksum && a.result.avg_streams == b.result.avg_streams &&
-         a.result.max_streams == b.result.max_streams &&
-         a.result.avg_kbs == b.result.avg_kbs &&
-         a.result.max_kbs == b.result.max_kbs &&
-         a.result.requests == b.result.requests &&
-         a.result.measured_slots == b.result.measured_slots &&
-         a.result.per_video_avg == b.result.per_video_avg &&
-         a.result.per_video_requests == b.result.per_video_requests;
+bool identical(const MultiVideoResult& a, const MultiVideoResult& b) {
+  return a.avg_streams == b.avg_streams && a.max_streams == b.max_streams &&
+         a.avg_kbs == b.avg_kbs && a.max_kbs == b.max_kbs &&
+         a.requests == b.requests && a.measured_slots == b.measured_slots &&
+         a.per_video_avg == b.per_video_avg &&
+         a.per_video_requests == b.per_video_requests;
 }
 
-Measurement run_point(int catalog, int threads) {
+// Runs one grid point into *result; the point itself keeps only the
+// checksum and the scalars, so the grid does not hold every point's
+// per-video vectors (24 MB a point at 1M videos).
+Measurement run_point(int catalog, int threads, MultiVideoResult* result) {
   MultiVideoConfig c = scale_config(catalog);
   c.num_threads = threads;
   const auto start = std::chrono::steady_clock::now();
-  Measurement m;
-  m.result = run_multi_video_simulation(c);
+  *result = run_multi_video_simulation(c);
   const auto end = std::chrono::steady_clock::now();
+  Measurement m;
   m.catalog = catalog;
   m.threads = threads;
   m.seconds = std::chrono::duration<double>(end - start).count();
-  m.checksum = result_checksum(m.result);
-  m.requests_per_sec = static_cast<double>(m.result.requests) /
+  m.avg_streams = result->avg_streams;
+  m.max_streams = result->max_streams;
+  m.requests = result->requests;
+  m.checksum = result_checksum(*result);
+  m.requests_per_sec = static_cast<double>(m.requests) /
                        (m.seconds > 0.0 ? m.seconds : 1e-9);
   const double total_slots =
-      static_cast<double>(m.result.measured_slots) +
+      static_cast<double>(result->measured_slots) +
       std::ceil(c.warmup_hours * 3600.0 / c.slot_duration_s);
   m.slots_per_sec = total_slots * static_cast<double>(catalog) /
                     (m.seconds > 0.0 ? m.seconds : 1e-9);
@@ -136,9 +142,8 @@ void write_json(const std::string& path,
                  "\"max_streams\": %.1f, \"requests\": %llu, "
                  "\"checksum\": %llu}%s\n",
                  m.catalog, m.threads, m.seconds, m.requests_per_sec,
-                 m.slots_per_sec, m.speedup, m.result.avg_streams,
-                 m.result.max_streams,
-                 static_cast<unsigned long long>(m.result.requests),
+                 m.slots_per_sec, m.speedup, m.avg_streams, m.max_streams,
+                 static_cast<unsigned long long>(m.requests),
                  static_cast<unsigned long long>(m.checksum),
                  i + 1 < points.size() ? "," : "");
   }
@@ -187,15 +192,21 @@ int main(int argc, char** argv) {
   Table table({"catalog", "threads", "seconds", "requests/sec", "slots/sec",
                "speedup", "identical"});
   for (int catalog : catalogs) {
-    Measurement baseline;
+    // The 1-thread run's full result: every other thread count must
+    // reproduce it.
+    MultiVideoResult baseline;
+    double baseline_seconds = 0.0;
     for (int threads : thread_counts) {
-      Measurement m = run_point(catalog, threads);
+      MultiVideoResult result;
+      Measurement m = run_point(catalog, threads, &result);
+      bool same = true;
       if (threads == 1) {
-        baseline = m;
+        baseline_seconds = m.seconds;
+        baseline = std::move(result);
       } else {
-        m.speedup = baseline.seconds / (m.seconds > 0.0 ? m.seconds : 1e-9);
+        m.speedup = baseline_seconds / (m.seconds > 0.0 ? m.seconds : 1e-9);
+        same = identical(baseline, result);
       }
-      const bool same = threads == 1 || identical(baseline, m);
       all_identical = all_identical && same;
       table.add_row({std::to_string(catalog), std::to_string(threads),
                      format_double(m.seconds, 3),

@@ -7,6 +7,7 @@
 
 #include "schedule/slot_math.h"
 #include "util/check.h"
+#include "util/thread_annotations.h"
 
 namespace vod {
 namespace {
@@ -19,6 +20,14 @@ struct Leaf {
 };
 
 constexpr Slot kCycleSaturation = Slot{1} << 62;
+
+// capacity()'s memo, streams -> segments. Process-wide, so any thread may
+// read or fill it under the lock.
+Mutex g_capacity_mu;
+std::map<int, int>& capacity_memo() VOD_REQUIRES(g_capacity_mu) {
+  static std::map<int, int> memo;
+  return memo;
+}
 
 Slot saturating_lcm(Slot a, Slot b) {
   const Slot g = std::gcd(a, b);
@@ -178,15 +187,21 @@ int NpbMapping::harmonic_capacity(int streams) {
 }
 
 int NpbMapping::capacity(int streams) {
-  static std::map<int, int> cache;
-  if (auto it = cache.find(streams); it != cache.end()) return it->second;
+  {
+    MutexLock lock(g_capacity_mu);
+    const std::map<int, int>& memo = capacity_memo();
+    if (auto it = memo.find(streams); it != memo.end()) return it->second;
+  }
   // The greedy packer is monotone in n (placing fewer segments never needs
-  // more room), so the capacity is the last n that still builds.
+  // more room), so the capacity is the last n that still builds. The
+  // packing runs unlocked (milliseconds at k = 6); two threads that miss
+  // on the same k both compute it and store the same value.
   int n = streams;
   const int limit = harmonic_capacity(streams);
   while (n <= limit && build(streams, n + 1).has_value()) ++n;
   if (!build(streams, n).has_value()) n = 0;  // fewer segments than streams
-  cache[streams] = n;
+  MutexLock lock(g_capacity_mu);
+  capacity_memo().emplace(streams, n);
   return n;
 }
 

@@ -58,7 +58,8 @@ class NpbMapping final : public StaticMapping {
   // per stream, every segment placed exactly once.
   MappingValidation validate() const;
 
-  // Largest n the packer fits on k streams. Cached per k.
+  // Largest n the packer fits on k streams. Cached per k; safe to call
+  // from any thread.
   static int capacity(int streams);
   // Smallest k that carries n segments.
   static int streams_for(int num_segments);

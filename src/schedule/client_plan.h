@@ -41,7 +41,9 @@ struct PlanDiagnostics {
 // Verifies a plan. `periods` is the per-segment maximum delay vector
 // (empty => T[j] = j, the CBR base protocol). Consumption model:
 // segment j is consumed during slot arrival + j (stream-through), so at the
-// end of slot arrival + j the client has consumed j segments.
+// end of slot arrival + j the client has consumed j segments. Costs
+// O(n + max T[j]) on a plan spanning fewer than n + max T[j] slots (every
+// scheduler plan), O(n log n) on any wider one.
 PlanDiagnostics verify_plan(const ClientPlan& plan,
                             const std::vector<int>& periods = {});
 

@@ -42,10 +42,12 @@ struct CatalogPlan {
   std::vector<double> rate_kbs;  // per rank, stream rate
   std::vector<bool> is_static;   // per rank, always-on NPB vs DHB
   std::vector<bool> is_adaptive; // per rank, AdaptiveVideo controller
-  // NPB packings for adaptive videos, one per distinct segment count.
-  // Built before the workers start, immutable after (AdaptiveVideo reads
-  // only); std::map for deterministic construction order.
+  // NPB packings for adaptive videos and NPB stream counts for static
+  // ones, one per distinct segment count. Built before the workers start,
+  // immutable after (AdaptiveVideo reads only); std::map for deterministic
+  // construction order.
   std::map<int, NpbMapping> mappings;
+  std::map<int, int> static_streams;
   double rate_per_s = 0.0;       // aggregate off-peak rate, requests/second
   double peak_per_hour = 0.0;    // diurnal peak, requests/hour (0 = flat)
 };
@@ -236,7 +238,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       video.adaptive = std::make_unique<AdaptiveVideo>(
           acfg, &plan.mappings.at(plan.segments[idx]));
     } else if (plan.is_static[idx]) {
-      video.fixed_streams = NpbMapping::streams_for(plan.segments[idx]);
+      video.fixed_streams = plan.static_streams.at(plan.segments[idx]);
     } else {
       video.is_dhb = true;
       video.dhb.num_segments = plan.segments[idx];
@@ -345,12 +347,17 @@ MultiVideoResult run_multi_video_simulation(const MultiVideoConfig& config) {
     }
   }
 
-  // Adaptive videos need the NPB packing for their segment count; build
-  // each distinct one once, up front, and share it read-only across every
-  // shard kernel (streams_for() guarantees the packer fits).
+  // Adaptive videos need the NPB packing for their segment count, static
+  // ones its stream count; resolve each distinct one once, up front, on
+  // this thread, and share it read-only across every shard kernel
+  // (streams_for() guarantees the packer fits).
   for (int v = 0; v < V; ++v) {
-    if (!plan.is_adaptive[static_cast<size_t>(v)]) continue;
     const int n = plan.segments[static_cast<size_t>(v)];
+    if (plan.is_static[static_cast<size_t>(v)] &&
+        plan.static_streams.count(n) == 0) {
+      plan.static_streams.emplace(n, NpbMapping::streams_for(n));
+    }
+    if (!plan.is_adaptive[static_cast<size_t>(v)]) continue;
     if (plan.mappings.count(n) != 0) continue;
     std::optional<NpbMapping> mapping =
         NpbMapping::build(NpbMapping::streams_for(n), n);

@@ -103,6 +103,32 @@ TEST(MultiVideoParallel, ManyShardsFoldInShardOrder) {
   }
 }
 
+TEST(MultiVideoParallel, StaticVideosAgreeAcrossThreadCounts) {
+  // A static video's NPB stream count comes from the plan, resolved once
+  // per distinct segment count before the workers start; the workers only
+  // read it. 4 threads run first, so in a fresh process the first NPB
+  // lookup would be a worker's if any worker still made one. 200 videos
+  // are 4 shards, and the hybrid's static top of 100 spans shards 0 and 1.
+  for (const VideoPolicy policy :
+       {VideoPolicy::kStatic, VideoPolicy::kHybrid}) {
+    MultiVideoConfig c = base_config(200, policy);
+    c.hybrid_static_top = 100;
+    c.per_video_segments.resize(200);
+    for (size_t v = 0; v < c.per_video_segments.size(); ++v) {
+      c.per_video_segments[v] = 29 + 10 * static_cast<int>(v % 3);
+    }
+    c.num_threads = 4;
+    const MultiVideoResult first = run_multi_video_simulation(c);
+    EXPECT_GT(first.avg_streams, 0.0);
+    for (int threads : {2, 1}) {
+      c.num_threads = threads;
+      const MultiVideoResult again = run_multi_video_simulation(c);
+      SCOPED_TRACE(threads);
+      expect_bit_identical(first, again);
+    }
+  }
+}
+
 TEST(MultiVideoParallel, SingleShardCatalogUnaffectedByThreads) {
   // Fewer videos than one shard: the pool has one task; still identical.
   MultiVideoConfig c = base_config(10, VideoPolicy::kDhb);

@@ -1,6 +1,7 @@
 // NaiveOracle: the naive Figure 6 transcription the scheduler tests diff
-// DhbScheduler against (dhb_oracle_test, fuzz_schedule_audit). Used only
-// by tests.
+// DhbScheduler against (dhb_oracle_test, fuzz_schedule_audit), and
+// naive_verify_plan, the tree-walking playout verifier client_plan_test
+// diffs verify_plan against. Used only by tests.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/heuristics.h"
+#include "schedule/client_plan.h"
 #include "schedule/types.h"
 
 namespace vod {
@@ -218,5 +220,48 @@ class NaiveOracle {
   Slot now_ = 0;
   std::map<Slot, std::vector<Segment>> slots_;
 };
+
+// verify_plan written out on a std::map: one tree node per reception
+// slot, and a walk over every slot boundary from arrival + 1 to the last
+// reception, O(last - arrival). Same diagnostics as verify_plan.
+inline PlanDiagnostics naive_verify_plan(const ClientPlan& plan,
+                                         const std::vector<int>& periods) {
+  PlanDiagnostics diag;
+  const int n = plan.num_segments();
+  std::map<Slot, int> receptions;  // slot -> segments received in it
+  for (int j = 1; j <= n; ++j) {
+    const Slot s = plan.reception_slot[static_cast<size_t>(j - 1)];
+    const Slot deadline =
+        plan.arrival_slot +
+        (periods.empty() ? j : periods[static_cast<size_t>(j - 1)]);
+    if (s <= plan.arrival_slot || s > deadline) {
+      if (diag.deadlines_met) {
+        diag.deadlines_met = false;
+        diag.first_violation = j;
+      }
+    }
+    ++receptions[s];
+  }
+  for (const auto& [slot, count] : receptions) {
+    diag.max_concurrent_streams = std::max(diag.max_concurrent_streams, count);
+  }
+  if (n > 0) {
+    const Slot last = *std::max_element(plan.reception_slot.begin(),
+                                        plan.reception_slot.end());
+    int received = 0;
+    auto it = receptions.begin();
+    for (Slot t = plan.arrival_slot + 1; t <= last; ++t) {
+      while (it != receptions.end() && it->first <= t) {
+        received += it->second;
+        ++it;
+      }
+      const int consumed =
+          static_cast<int>(std::min<Slot>(t - plan.arrival_slot, n));
+      diag.max_buffered_segments =
+          std::max(diag.max_buffered_segments, received - consumed);
+    }
+  }
+  return diag;
+}
 
 }  // namespace vod
