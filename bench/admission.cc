@@ -21,9 +21,10 @@ int main(int argc, char** argv) {
   using namespace vod;
   using namespace vod::bench;
 
-  // --trace-out / --metrics-out / --qoe-out / --slo-out record the sweep
-  // (the bounded-admission runs are where nonzero waits actually appear,
-  // so the QoE histograms show the deferral tail per channel budget).
+  // --trace-out / --metrics-out / --qoe-out / --slo-out record the sweep.
+  // Bounded admission is where nonzero waits appear, so the QoE histogram
+  // shows the deferral tail, pooled over all 12 runs (every rate and
+  // channel budget) into one stream.
   BenchObservability obs(argc, argv);
 
   print_header("DHB with K dedicated channels (99 segments)",
@@ -37,6 +38,7 @@ int main(int argc, char** argv) {
       SlottedSimConfig sim = slotted_config(rate);
       sim.measured_hours = 150.0;
       sim.channel_cap = cap;
+      obs.begin_run();
       const SlottedSimResult r = run_dhb_simulation(DhbConfig{}, sim);
       const double offered =
           static_cast<double>(r.requests + r.rejected);

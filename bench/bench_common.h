@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table regeneration binaries.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -48,14 +49,18 @@ inline void print_header(const std::string& title, const std::string& notes) {
   std::printf("== %s ==\n%s\n\n", title.c_str(), notes.c_str());
 }
 
-// Optional observability surface shared by every bench binary: construct
-// with argv, and when the user passed --trace-out, --metrics-out,
-// --qoe-out and/or --slo-out an ambient ObsSink is installed for the
-// object's lifetime (so simulator runs record trace events, snapshot
-// their counters, and account client-perceived QoE). A --qoe-out also
-// arms the VOD_CHECK violation dump at <qoe-out>.violations for the
-// object's lifetime. Call write() once the sweep is done. With no flag
-// the object is inert.
+// Optional observability surface of the sweep benches (abandonment,
+// admission, fig7, fig8, fig9 and reactive_landscape): construct with
+// argv, and when the user passed --trace-out, --metrics-out, --qoe-out
+// and/or --slo-out an ambient ObsSink is installed for the object's
+// lifetime (so simulator runs record trace events, snapshot their
+// counters, and account client-perceived QoE). Every run of the sweep
+// records into the same sink: the metrics add up over the runs, and the
+// QoE is one stream that pools them. Call begin_run() before each
+// simulated run so its trace events land on a track of its own. A
+// --qoe-out also arms the VOD_CHECK violation dump at
+// <qoe-out>.violations for the object's lifetime. Call write() once the
+// sweep is done. With no flag the object is inert.
 class BenchObservability {
  public:
   // True when `arg` is one of the flags this class consumes; such flags
@@ -106,6 +111,12 @@ class BenchObservability {
            !qoe_out_.empty() || !slo_out_.empty();
   }
 
+  // Starts the sweep's next simulated run on its own trace track: run k
+  // (from 0) records on track k, so each run's per-slot counter series
+  // is its own Chrome series even though every run restarts the slot
+  // clock.
+  void begin_run() { trace_.set_track(next_track_++); }
+
   // Writes the requested outputs (metrics as JSONL). Returns false when a
   // file cannot be written.
   bool write() const {
@@ -136,6 +147,7 @@ class BenchObservability {
   std::string metrics_out_;
   std::string qoe_out_;
   std::string slo_out_;
+  uint32_t next_track_ = 0;
   bool armed_ = false;
 };
 

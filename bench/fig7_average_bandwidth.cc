@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
         run_tapping_simulation(tapping_config(rate, TappingMode::kStreamTapping));
     const SlottedSimResult ud =
         run_on_demand_simulation(ud_mapping, slotted_config(rate));
+    obs.begin_run();
     const SlottedSimResult dhb =
         run_dhb_simulation(DhbConfig{}, slotted_config(rate));
     TappingConfig merge_cfg =

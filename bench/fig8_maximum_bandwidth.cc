@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   for (const double rate : paper_rates()) {
     const SlottedSimResult ud =
         run_on_demand_simulation(ud_mapping, slotted_config(rate));
+    obs.begin_run();
     const SlottedSimResult dhb =
         run_dhb_simulation(DhbConfig{}, slotted_config(rate));
     const double gap = dhb.max_streams - npb_streams;

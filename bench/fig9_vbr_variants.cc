@@ -26,11 +26,14 @@ namespace {
 
 using namespace vod;
 
-// Runs one DHB variant and returns its average bandwidth in MB/s.
-double run_variant_mbs(const DhbVariant& v, double rate) {
+// Runs one DHB variant, on its own trace track, and returns its average
+// bandwidth in MB/s.
+double run_variant_mbs(vod::bench::BenchObservability& obs,
+                       const DhbVariant& v, double rate) {
   SlottedSimConfig sim = vod::bench::slotted_config(rate);
   sim.video.duration_s = v.slot_s * v.num_segments;
   sim.video.num_segments = v.num_segments;
+  obs.begin_run();
   const SlottedSimResult r = run_dhb_simulation(v.dhb_config(), sim);
   return r.avg_streams * v.stream_rate_kbs / 1000.0;
 }
@@ -83,10 +86,10 @@ int main(int argc, char** argv) {
         run_on_demand_simulation(FbMapping(va.a.num_segments), ud_sim);
     table.add_numeric_row({rate,
                            ud.avg_streams * va.peak_rate_kbs / 1000.0,
-                           run_variant_mbs(va.a, rate),
-                           run_variant_mbs(va.b, rate),
-                           run_variant_mbs(va.c, rate),
-                           run_variant_mbs(va.d, rate)},
+                           run_variant_mbs(obs, va.a, rate),
+                           run_variant_mbs(obs, va.b, rate),
+                           run_variant_mbs(obs, va.c, rate),
+                           run_variant_mbs(obs, va.d, rate)},
                           3);
   }
   table.print();

@@ -125,9 +125,7 @@ Run run_mode(int segments, double rate, uint64_t slots, SinkMode mode) {
   run.work_units = scheduler.total_work_units();
   run.checksum = checksum;
   run.trace_events = trace.emitted();
-  for (const auto& [key, group] : qoe.groups()) {
-    run.qoe_requests += group.requests;
-  }
+  run.qoe_requests = qoe.total_requests();
   return run;
 }
 

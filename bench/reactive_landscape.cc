@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   using namespace vod;
   using namespace vod::bench;
 
-  // --trace-out / --metrics-out / --qoe-out / --slo-out record the sweep
-  // (the reactive baselines account startup wait and continuity per
-  // admission, so the QoE JSONL compares service classes directly).
+  // --trace-out / --metrics-out / --qoe-out / --slo-out record the sweep.
+  // Of these runs only batching's clients have a wait that varies, so the
+  // QoE JSONL is batching's wait, pooled over every rate into one stream.
   BenchObservability obs(argc, argv);
 
   print_header("Reactive & hybrid protocol landscape (two-hour video)",
@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
     const SelectiveCatchingResult cat =
         run_selective_catching_simulation(sc);
 
+    obs.begin_run();
     const SlottedSimResult dhb =
         run_dhb_simulation(DhbConfig{}, slotted_config(rate));
     const double evz = evz_lower_bound(per_hour(rate), 7200.0);

@@ -14,8 +14,8 @@
 //                            (default dhb)
 //          [--trace-out P]   write Chrome trace-event JSON to P
 //          [--metrics-out P] write the counters and histograms to P as JSONL
-//          [--qoe-out P]     write per-(video,rung) QoE JSONL (wait
-//                            histograms with exemplars, continuity) plus
+//          [--qoe-out P]     write the run's QoE JSONL (one wait
+//                            histogram with exemplars, continuity) plus
 //                            the flight-recorder decisions to P; also arms
 //                            the VOD_CHECK violation dump to P.violations.
 //                            Only a batching run writes QoE lines here:

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Renders the QoE / SLO JSONL artifacts as per-rung tables and verdicts.
+"""Renders the QoE / SLO JSONL artifacts as a table and verdicts.
 
 Input is any mix of files produced by --qoe-out / --slo-out (vodsim, the
 bench binaries) and violation dumps; lines are dispatched by their "kind"
 field, so one file or many works the same. Output:
 
-* a per-rung table — requests, admissions, startup-wait p50/p99 (recomputed
-  from the merged wait histograms with the same upper-edge rule the C++
-  Histogram::quantile uses), continuity;
-* SLO verdicts — per rung and objective: MET/VIOLATED, bad fraction vs
-  budget, burn-rate window breaches and fast+slow alerts;
+* a QoE table — one row per "qoe" line (a run's one QoE stream): requests,
+  admissions, startup-wait p50/p99, continuity;
+* SLO verdicts — one per "slo" line: MET/VIOLATED, bad fraction vs budget,
+  burn-rate window breaches and fast+slow alerts;
 * a flight-recorder digest — decisions retained, commits, dwell-blocked
   moves, and any violation dumps present.
 
@@ -29,36 +28,10 @@ def fail(msg):
     sys.exit(f"qoe_report: {msg}")
 
 
-def merge_bins(acc, obj):
-    """Folds one qoe line's wait histogram into the per-rung accumulator."""
-    key = (obj["wait_lo"], obj["wait_bin_width"], len(obj["wait_bins"]))
-    if acc["shape"] is None:
-        acc["shape"] = key
-        acc["bins"] = [0] * key[2]
-    elif acc["shape"] != key:
-        return False
-    acc["bins"] = [a + b for a, b in zip(acc["bins"], obj["wait_bins"])]
-    return True
-
-
-def quantile(shape, bins, q):
-    """Histogram::quantile: upper bin edge at the cumulative crossing."""
-    lo, width, nbins = shape
-    total = sum(bins)
-    if total == 0:
-        return lo
-    target = q * total
-    cum = 0
-    for i, count in enumerate(bins):
-        cum += count
-        if cum >= target:
-            return lo + width * (i + 1)
-    return lo + width * nbins
-
-
 def load(paths):
-    groups = []     # qoe lines
-    slos = []       # slo lines
+    """(path, line) pairs of qoe and slo lines, plus decisions and dumps."""
+    qoes = []       # (path, qoe line)
+    slos = []       # (path, slo line)
     decisions = []  # decision lines
     violations = []
     for path in paths:
@@ -76,90 +49,42 @@ def load(paths):
                 fail(f"{path}:{no}: invalid JSON: {e}")
             kind = obj.get("kind")
             if kind == "qoe":
-                groups.append(obj)
+                qoes.append((path, obj))
             elif kind == "slo":
-                slos.append(obj)
+                slos.append((path, obj))
             elif kind == "decision":
                 decisions.append(obj)
             elif kind in ("violation", "qoe_sample"):
                 violations.append(obj)
             # Metric snapshot kinds in the same file are not an error —
             # the report just has nothing to say about them.
-    return groups, slos, decisions, violations
+    return qoes, slos, decisions, violations
 
 
-def rung_table(groups):
-    rungs = {}
-    for g in groups:
-        r = rungs.setdefault(
-            (g["rung"], g["rung_name"]),
-            {"videos": 0, "requests": 0, "admissions": 0, "segments": 0,
-             "late": 0, "shape": None, "bins": None})
-        r["videos"] += 1
-        r["requests"] += g["requests"]
-        r["admissions"] += g["admissions"]
-        r["segments"] += g["segments"]
-        r["late"] += g["late_segments"]
-        if not merge_bins(r, g):
-            fail(f"rung {g['rung_name']}: wait histograms disagree on shape")
-    rows = []
-    for (rung, name), r in sorted(rungs.items()):
-        p50 = quantile(r["shape"], r["bins"], 0.50)
-        p99 = quantile(r["shape"], r["bins"], 0.99)
-        continuity = (1.0 - r["late"] / r["segments"]
-                      if r["segments"] > 0 else 1.0)
-        rows.append((name, r["videos"], r["requests"], r["admissions"],
-                     p50, p99, continuity))
-    return rows
-
-
-def slo_rollup(slos):
-    """Per-rung verdicts; prefers exporter rollups, else folds group lines."""
-    scoped = [s for s in slos if s["scope"] == "rung"]
-    if scoped:
-        return sorted(scoped, key=lambda s: (s["rung"], s["objective"]))
-    folded = {}
-    for s in slos:
-        key = (s["rung"], s["objective"])
-        if key not in folded:
-            folded[key] = dict(s, scope="rung")
-            continue
-        f = folded[key]
-        for k in ("total", "bad", "fast_windows", "fast_breached",
-                  "slow_windows", "slow_breached", "alerts"):
-            f[k] += s[k]
-        f["fast_max_burn"] = max(f["fast_max_burn"], s["fast_max_burn"])
-        f["slow_max_burn"] = max(f["slow_max_burn"], s["slow_max_burn"])
-    for f in folded.values():
-        f["bad_fraction"] = f["bad"] / f["total"] if f["total"] else 0.0
-        f["met"] = f["bad_fraction"] <= f["budget"]
-        f.pop("video", None)
-    return [folded[k] for k in sorted(folded)]
-
-
-def render(groups, slos, decisions, violations, out=sys.stdout):
+def render(qoes, slos, decisions, violations, out=sys.stdout):
     all_met = True
     w = out.write
-    if groups:
-        w("per-rung QoE\n")
-        w(f"  {'rung':<10} {'videos':>6} {'requests':>9} {'admissions':>10} "
-          f"{'wait p50':>9} {'wait p99':>9} {'continuity':>10}\n")
-        for name, videos, req, adm, p50, p99, cont in rung_table(groups):
-            w(f"  {name:<10} {videos:>6} {req:>9} {adm:>10} "
-              f"{p50:>9.2f} {p99:>9.2f} {cont:>10.6f}\n")
+    if qoes:
+        w("QoE\n")
+        w(f"  {'requests':>9} {'admissions':>10} {'wait p50':>9} "
+          f"{'wait p99':>9} {'continuity':>10}  file\n")
+        for path, q in qoes:
+            w(f"  {q['requests']:>9} {q['admissions']:>10} "
+              f"{q['wait_p50']:>9.2f} {q['wait_p99']:>9.2f} "
+              f"{q['continuity']:>10.6f}  {path}\n")
     else:
-        w("per-rung QoE: no qoe lines in input\n")
+        w("QoE: no qoe lines in input\n")
     if slos:
         w("\nSLO verdicts\n")
-        for s in slo_rollup(slos):
+        for path, s in slos:
             verdict = "MET     " if s["met"] else "VIOLATED"
             all_met = all_met and s["met"]
-            w(f"  {s['rung_name']:<10} {s['objective']:<13} {verdict} "
+            w(f"  {s['objective']:<13} {verdict} "
               f"bad {s['bad']}/{s['total']} "
               f"({s['bad_fraction']:.6f} of budget {s['budget']}) "
               f"windows fast {s['fast_breached']}/{s['fast_windows']} "
               f"slow {s['slow_breached']}/{s['slow_windows']} "
-              f"alerts {s['alerts']}\n")
+              f"alerts {s['alerts']}  {path}\n")
     if decisions:
         commits = sum(1 for d in decisions if d["committed"])
         blocked = sum(1 for d in decisions if d["dwell_blocked"])
@@ -176,56 +101,34 @@ def render(groups, slos, decisions, violations, out=sys.stdout):
 
 
 def self_test():
-    """Exercises the aggregation paths on synthetic lines."""
-    qoe = {"kind": "qoe", "video": 0, "rung": 1, "rung_name": "dhb",
-           "admissions": 3, "requests": 4, "segments": 40,
-           "late_segments": 4, "continuity": 0.9, "wait_p50": 2,
-           "wait_p99": 4, "wait_count": 4, "wait_sum": 7, "wait_lo": 0,
-           "wait_bin_width": 2, "wait_bins": [3, 1], "exemplars": []}
-    other = dict(qoe, video=1, requests=4, wait_bins=[2, 2],
-                 late_segments=0, continuity=1.0)
-    rows = rung_table([qoe, other])
-    if len(rows) != 1:
-        return "rung_table did not fold two videos into one rung"
-    name, videos, req, adm, p50, p99, cont = rows[0]
-    if (name, videos, req) != ("dhb", 2, 8):
-        return f"rung_table totals wrong: {rows[0]}"
-    # Merged bins [5, 3]: the 4th of 8 samples sits in bin 0 (edge 2), the
-    # 99th percentile in bin 1 (edge 4) — the C++ upper-edge rule.
-    if (p50, p99) != (2.0, 4.0):
-        return f"quantiles wrong: p50={p50} p99={p99}"
-    if abs(cont - (1.0 - 4.0 / 80.0)) > 1e-12:
-        return f"continuity wrong: {cont}"
-    if quantile((0, 2, 2), [0, 0], 0.5) != 0:
-        return "empty-histogram quantile should return lo"
-
-    slo = {"kind": "slo", "scope": "group", "video": 0, "rung": 1,
-           "rung_name": "dhb", "objective": "startup_wait", "target": 8,
+    """Renders synthetic lines and checks the rows and the verdicts."""
+    import io
+    qoe = {"kind": "qoe", "admissions": 3, "requests": 4, "segments": 40,
+           "late_segments": 4, "continuity": 0.9, "wait_p50": 0.5,
+           "wait_p99": 1.0, "wait_count": 4, "wait_sum": 2, "wait_lo": 0,
+           "wait_bin_width": 0.0625, "wait_bins": [3, 1], "exemplars": []}
+    slo = {"kind": "slo", "objective": "startup_wait", "target": 8,
            "budget": 0.01, "total": 90, "bad": 0, "bad_fraction": 0.0,
            "met": True, "fast_window_slots": 64, "fast_windows": 2,
            "fast_breached": 0, "fast_max_burn": 0.0,
            "slow_window_slots": 512, "slow_windows": 1, "slow_breached": 0,
            "slow_max_burn": 0.0, "alerts": 0}
-    bad = dict(slo, video=1, total=10, bad=5, bad_fraction=0.5, met=False,
-               fast_breached=2, fast_max_burn=50.0, alerts=1)
-    rollup = slo_rollup([slo, bad])
-    if len(rollup) != 1:
-        return "slo_rollup did not fold two group lines"
-    f = rollup[0]
-    if (f["total"], f["bad"], f["alerts"]) != (100, 5, 1):
-        return f"slo_rollup sums wrong: {f}"
-    if f["met"] or abs(f["bad_fraction"] - 0.05) > 1e-12:
-        return f"slo_rollup verdict wrong: {f}"
-    if f["fast_max_burn"] != 50.0:
-        return "slo_rollup max burn not folded"
-    # Exporter-provided rung rollups must win over group folding.
-    pre = dict(slo, scope="rung")
-    if slo_rollup([pre, bad]) != [pre]:
-        return "rung-scope lines should short-circuit the fold"
+    bad = dict(slo, objective="continuity", total=10, bad=5,
+               bad_fraction=0.5, met=False, fast_breached=2,
+               fast_max_burn=50.0, alerts=1)
 
-    import io
     sink = io.StringIO()
-    ok = render([qoe, other], [slo, bad],
+    if not render([("a.jsonl", qoe)], [("a.jsonl", slo)], [], [], out=sink):
+        return "render reported a violation for a met SLO"
+    text = sink.getvalue()
+    for token in ("        4          3      0.50      1.00   0.900000  "
+                  "a.jsonl", "startup_wait  MET"):
+        if token not in text:
+            return f"render output missing {token!r}"
+
+    sink = io.StringIO()
+    ok = render([("a.jsonl", qoe), ("b.jsonl", qoe)],
+                [("a.jsonl", slo), ("a.jsonl", bad)],
                 [{"kind": "decision", "video": 0, "committed": True,
                   "dwell_blocked": False}],
                 [{"kind": "violation", "file": "f.cc", "line": 1,
@@ -233,8 +136,10 @@ def self_test():
     if ok:
         return "render ignored a violated SLO / violation dump"
     text = sink.getvalue()
-    for token in ("VIOLATED", "flight recorder: 1 decisions",
-                  "VIOLATION DUMPS: 1"):
+    if text.count("a.jsonl\n") != 3 or text.count("b.jsonl\n") != 1:
+        return "render did not print one row per qoe and slo line"
+    for token in ("continuity    VIOLATED bad 5/10", "alerts 1",
+                  "flight recorder: 1 decisions", "VIOLATION DUMPS: 1"):
         if token not in text:
             return f"render output missing {token!r}"
     return None
@@ -252,8 +157,8 @@ def main(argv):
     paths = [a for a in args if a != "--strict"]
     if not paths:
         sys.exit(__doc__)
-    groups, slos, decisions, violations = load(paths)
-    all_met = render(groups, slos, decisions, violations)
+    qoes, slos, decisions, violations = load(paths)
+    all_met = render(qoes, slos, decisions, violations)
     return 0 if all_met or not strict else 1
 
 

@@ -10,11 +10,11 @@ fixtures. Dispatch is by extension:
   the top-level envelope, the process-name metadata for the two clock
   domains (pid 1 slot time, pid 2 wall clock), and every event's phase,
   timestamps, and args. Slot-domain timestamps must be whole slots
-  (integer microseconds, 1 slot = 1000 us). Chrome keys a counter track
-  by (pid, name), so two samples of one counter at the same (pid, name,
-  ts) would overwrite each other on one track: rejected.
+  (integer microseconds, 1 slot = 1000 us). Chrome keys a counter series
+  by (pid, name, id), so two samples of one counter at the same (pid,
+  name, id, ts) would overwrite each other on one series: rejected.
 * .jsonl — self-describing JSON objects, one per line: metric snapshots
-  (counter/gauge/histogram), QoE groups ("qoe", with exemplar/bin
+  (counter/gauge/histogram), the QoE stream ("qoe", with exemplar/bin
   coherence), SLO burn-rate verdicts ("slo"), flight-recorder decisions
   ("decision"), and violation-dump records ("violation"/"qoe_sample").
   Unknown kinds fail, so exporter drift cannot slip past CI.
@@ -47,7 +47,7 @@ def validate_chrome_trace(path):
 
     named_pids = {}
     counts = {"X": 0, "i": 0, "C": 0, "M": 0}
-    counter_samples = set()  # (pid, name, ts)
+    counter_samples = set()  # (pid, name, id, ts)
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(e, dict):
@@ -86,11 +86,12 @@ def validate_chrome_trace(path):
             args = e.get("args")
             if not isinstance(args, dict) or not args:
                 fail(path, f"{where}: counter event without args")
-            key = (e["pid"], e["name"], ts)
+            key = (e["pid"], e["name"], e.get("id"), ts)
             if key in counter_samples:
                 fail(path, f"{where}: second sample of counter "
-                           f"{e['name']!r} at pid {e['pid']} ts {ts}; one "
-                           "Chrome counter track cannot hold both")
+                           f"{e['name']!r} at pid {e['pid']} id "
+                           f"{e.get('id')} ts {ts}; one Chrome counter "
+                           "series cannot hold both")
             counter_samples.add(key)
         for k, v in e.get("args", {}).items():
             if not isinstance(k, str) or not isinstance(v, (int, float)):
@@ -106,21 +107,19 @@ def validate_chrome_trace(path):
 
 
 # Required keys per QoE/decision line kind; a line must carry every one.
-QOE_KEYS = ("video", "rung", "rung_name", "admissions", "requests",
-            "segments", "late_segments", "continuity", "wait_p50",
-            "wait_p99", "wait_count", "wait_sum", "wait_lo",
-            "wait_bin_width", "wait_bins", "exemplars")
-SLO_KEYS = ("scope", "rung", "rung_name", "objective", "target", "budget",
-            "total", "bad", "bad_fraction", "met", "fast_window_slots",
-            "fast_windows", "fast_breached", "fast_max_burn",
-            "slow_window_slots", "slow_windows", "slow_breached",
-            "slow_max_burn", "alerts")
+QOE_KEYS = ("admissions", "requests", "segments", "late_segments",
+            "continuity", "wait_p50", "wait_p99", "wait_count", "wait_sum",
+            "wait_lo", "wait_bin_width", "wait_bins", "exemplars")
+SLO_KEYS = ("objective", "target", "budget", "total", "bad",
+            "bad_fraction", "met", "fast_window_slots", "fast_windows",
+            "fast_breached", "fast_max_burn", "slow_window_slots",
+            "slow_windows", "slow_breached", "slow_max_burn", "alerts")
 DECISION_KEYS = ("slot", "video", "estimate", "band", "dwell",
                  "rung_before", "rung_after", "overlap_slots",
                  "dwell_blocked", "forced", "committed")
 VIOLATION_KEYS = ("dump", "file", "line", "expr", "msg")
-QOE_SAMPLE_KEYS = ("request_id", "slot", "video", "rung", "wait_slots",
-                   "count", "late_segments", "segments")
+QOE_SAMPLE_KEYS = ("request_id", "slot", "wait_slots", "count",
+                   "late_segments", "segments")
 
 
 def require_keys(path, no, obj, kind, keys):
@@ -173,10 +172,6 @@ def validate_jsonl(path):
                         fail(path, f"line {no}: exemplar missing {key!r}")
         elif kind == "slo":
             require_keys(path, no, obj, kind, SLO_KEYS)
-            if obj["scope"] not in ("group", "rung"):
-                fail(path, f"line {no}: unknown slo scope {obj['scope']!r}")
-            if obj["scope"] == "group" and "video" not in obj:
-                fail(path, f"line {no}: group-scope slo without video")
             if obj["objective"] not in ("startup_wait", "continuity"):
                 fail(path,
                      f"line {no}: unknown objective {obj['objective']!r}")

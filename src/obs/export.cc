@@ -82,6 +82,9 @@ void append_event(std::string* out, const TraceEvent& e, bool* first) {
     }
   }
   appendf(out, ",\"pid\":%d,\"tid\":%u", wall ? kWallPid : kSlotPid, e.track);
+  // Chrome keys a counter series by (pid, name, id), not by tid: the id
+  // keeps each track's series apart.
+  if (e.phase == TracePhase::kCounter) appendf(out, ",\"id\":%u", e.track);
   if (e.phase == TracePhase::kInstant) *out += ",\"s\":\"t\"";
   if (e.num_args > 0) {
     *out += ",\"args\":{";
@@ -167,54 +170,34 @@ std::string metrics_jsonl(const MetricShard& metrics) {
 
 namespace {
 
-void append_qoe_key(std::string* out, const QoeKey& key, bool with_video) {
-  if (with_video) appendf(out, "\"video\":%u,", key.video);
-  appendf(out, "\"rung\":%d,\"rung_name\":", key.rung);
-  append_json_string(out, qoe_rung_label(key.rung).c_str());
-}
-
-void append_slo_line(std::string* out, const char* scope, const QoeKey& key,
-                     bool with_video, const char* objective, double target,
+void append_slo_line(std::string* out, const char* objective, double target,
                      const SloTracker& slo) {
-  appendf(out, "{\"kind\":\"slo\",\"scope\":\"%s\",", scope);
-  append_qoe_key(out, key, with_video);
-  appendf(out, ",\"objective\":\"%s\",\"target\":%.10g,\"budget\":%.10g,",
-          objective, target, slo.config().error_budget);
+  appendf(out, "{\"kind\":\"slo\",\"objective\":\"%s\",\"target\":%.10g,"
+               "\"budget\":%.10g,",
+          objective, target, slo.error_budget());
   appendf(out, "\"total\":%" PRIu64 ",\"bad\":%" PRIu64
                ",\"bad_fraction\":%.10g,\"met\":%s,",
           slo.total(), slo.bad(), slo.bad_fraction(),
           slo.met() ? "true" : "false");
   appendf(out, "\"fast_window_slots\":%" PRId64 ",\"fast_windows\":%" PRIu64
                ",\"fast_breached\":%" PRIu64 ",\"fast_max_burn\":%.10g,",
-          slo.config().fast_window_slots, slo.fast().windows,
+          SloTracker::kFastWindowSlots, slo.fast().windows,
           slo.fast().breached, slo.fast().max_burn);
   appendf(out, "\"slow_window_slots\":%" PRId64 ",\"slow_windows\":%" PRIu64
                ",\"slow_breached\":%" PRIu64 ",\"slow_max_burn\":%.10g,",
-          slo.config().slow_window_slots, slo.slow().windows,
+          SloTracker::kSlowWindowSlots, slo.slow().windows,
           slo.slow().breached, slo.slow().max_burn);
   appendf(out, "\"alerts\":%" PRIu64 "}\n", slo.alerts());
-}
-
-void append_group_slo_lines(std::string* out, const char* scope,
-                            const QoeKey& key, bool with_video,
-                            const QoeOptions& opt, const SloTracker& wait,
-                            const SloTracker& continuity) {
-  append_slo_line(out, scope, key, with_video, "startup_wait",
-                  opt.wait_objective_slots, wait);
-  append_slo_line(out, scope, key, with_video, "continuity",
-                  1.0 - continuity.config().error_budget, continuity);
 }
 
 }  // namespace
 
 std::string qoe_jsonl(const QoeShard& qoe) {
   std::string out;
-  for (const auto& [key, g] : qoe.groups()) {
-    out += "{\"kind\":\"qoe\",";
-    append_qoe_key(&out, key, /*with_video=*/true);
-    appendf(&out, ",\"admissions\":%" PRIu64 ",\"requests\":%" PRIu64
-                  ",\"segments\":%" PRIu64 ",\"late_segments\":%" PRIu64
-                  ",\"continuity\":%.10g,",
+  for (const QoeGroup& g : qoe.groups()) {
+    appendf(&out, "{\"kind\":\"qoe\",\"admissions\":%" PRIu64
+                  ",\"requests\":%" PRIu64 ",\"segments\":%" PRIu64
+                  ",\"late_segments\":%" PRIu64 ",\"continuity\":%.10g,",
             g.admissions, g.requests, g.segments, g.late_segments,
             g.continuity());
     const Histogram& h = g.wait.histogram();
@@ -243,29 +226,10 @@ std::string qoe_jsonl(const QoeShard& qoe) {
 
 std::string slo_jsonl(const QoeShard& qoe) {
   std::string out;
-  const QoeOptions& opt = qoe.options();
-  for (const auto& [key, g] : qoe.groups()) {
-    append_group_slo_lines(&out, "group", key, /*with_video=*/true, opt,
-                           g.wait_slo, g.continuity_slo);
-  }
-  // Per-rung rollups: fold every video's trackers on that rung, ascending
-  // rung order (same schema as group lines, video omitted).
-  std::map<int32_t, std::pair<SloTracker, SloTracker>> rungs;
-  for (const auto& [key, g] : qoe.groups()) {
-    auto it = rungs.find(key.rung);
-    if (it == rungs.end()) {
-      it = rungs.emplace(key.rung,
-                         std::make_pair(SloTracker(opt.wait_slo),
-                                        SloTracker(opt.continuity_slo)))
-               .first;
-    }
-    it->second.first.merge_from(g.wait_slo);
-    it->second.second.merge_from(g.continuity_slo);
-  }
-  for (const auto& [rung, trackers] : rungs) {
-    const QoeKey key{0, rung};
-    append_group_slo_lines(&out, "rung", key, /*with_video=*/false, opt,
-                           trackers.first, trackers.second);
+  for (const QoeGroup& g : qoe.groups()) {
+    append_slo_line(&out, "startup_wait", kWaitObjectiveSlots, g.wait_slo);
+    append_slo_line(&out, "continuity", 1.0 - kContinuityErrorBudget,
+                    g.continuity_slo);
   }
   return out;
 }
@@ -298,10 +262,6 @@ bool write_chrome_trace(const std::string& path,
 bool write_metrics_jsonl(const std::string& path,
                          const MetricShard& metrics) {
   return write_string(path, metrics_jsonl(metrics));
-}
-
-bool write_qoe_jsonl(const std::string& path, const QoeShard& qoe) {
-  return write_string(path, qoe_jsonl(qoe));
 }
 
 bool write_qoe_jsonl(const std::string& path, const QoeShard& qoe,

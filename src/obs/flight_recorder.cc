@@ -100,10 +100,10 @@ void write_sample(std::FILE* f, const QoeSample& s) {
   (void)std::fprintf(
       f,
       "{\"kind\":\"qoe_sample\",\"request_id\":%" PRIu64 ",\"slot\":%" PRId64
-      ",\"video\":%u,\"rung\":%d,\"wait_slots\":%.17g,\"count\":%" PRIu64
+      ",\"wait_slots\":%.17g,\"count\":%" PRIu64
       ",\"late_segments\":%" PRIu64 ",\"segments\":%" PRIu64 "}\n",
-      s.request_id, s.slot, s.video, s.rung, s.wait_slots, s.count,
-      s.late_segments, s.segments);
+      s.request_id, s.slot, s.wait_slots, s.count, s.late_segments,
+      s.segments);
 }
 
 // The armed VOD_CHECK failure handler. Runs on the failing thread; reads

@@ -63,26 +63,4 @@ void MetricShard::merge_from(const MetricShard& other) {
   }
 }
 
-void MetricsRegistry::prepare(size_t num_shards) {
-  while (shards_.size() < num_shards) {
-    shards_.push_back(std::make_unique<MetricShard>());
-  }
-}
-
-MetricShard& MetricsRegistry::shard(size_t i) {
-  VOD_CHECK_MSG(i < shards_.size(), "metric shard index out of range");
-  return *shards_[i];
-}
-
-const MetricShard& MetricsRegistry::shard(size_t i) const {
-  VOD_CHECK_MSG(i < shards_.size(), "metric shard index out of range");
-  return *shards_[i];
-}
-
-MetricShard MetricsRegistry::merged() const {
-  MetricShard out;
-  for (const auto& shard : shards_) out.merge_from(*shard);
-  return out;
-}
-
 }  // namespace vod::obs

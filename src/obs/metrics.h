@@ -1,14 +1,14 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Metrics: named counters, gauges, and fixed-bucket histograms.
 //
 // The instrumentation layer's data plane. A MetricShard is a flat,
 // deterministic-order (std::map) collection of named metrics owned by one
 // writer at a time — a scheduler, a simulation driver, or one worker of
-// the sharded multi-video engine. A MetricsRegistry owns one shard per
-// engine shard; because shards are written without any cross-thread
-// sharing and merged in fixed shard-index order, recording is contention-
-// free and every merged value is bit-identical at any `num_threads`
-// (counters and histogram bins are integer sums; gauges merge by summing
-// in shard order).
+// the sharded multi-video engine. EngineObserver (obs/trace.h) owns one
+// shard per engine shard; because shards are written without any
+// cross-thread sharing and merged in fixed shard-index order, recording is
+// contention-free and every merged value is bit-identical at any
+// `num_threads` (counters and histogram bins are integer sums; gauges
+// merge by summing in shard order).
 //
 // Metric handles (Counter*, Gauge*, HistogramMetric*) returned by the
 // find-or-create accessors are stable for the shard's lifetime (std::map
@@ -23,9 +23,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/stats.h"
 #include "util/thread_checker.h"
@@ -134,31 +132,6 @@ class MetricShard {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, HistogramMetric> histograms_;
-};
-
-// One shard per engine shard / worker lane. prepare() is called once by
-// the orchestrating thread before workers start; workers then touch
-// disjoint shards only, so no locking is needed anywhere.
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  explicit MetricsRegistry(size_t num_shards) { prepare(num_shards); }
-
-  // Grows the shard set to at least `num_shards`. Existing shards (and
-  // every handle into them) stay valid. Not thread-safe: call from the
-  // orchestrator before handing shards to workers.
-  void prepare(size_t num_shards);
-
-  size_t num_shards() const { return shards_.size(); }
-  MetricShard& shard(size_t i);
-  const MetricShard& shard(size_t i) const;
-
-  // All shards folded in ascending shard order — the deterministic merge
-  // the engine's bit-identity contract relies on.
-  MetricShard merged() const;
-
- private:
-  std::vector<std::unique_ptr<MetricShard>> shards_;
 };
 
 }  // namespace vod::obs

@@ -6,15 +6,11 @@
 
 namespace vod::obs {
 
-SloTracker::SloTracker(const SloConfig& config) : config_(config) {
-  VOD_CHECK_MSG(config_.error_budget > 0.0 && config_.error_budget <= 1.0,
+SloTracker::SloTracker(double error_budget) : error_budget_(error_budget) {
+  VOD_CHECK_MSG(error_budget_ > 0.0 && error_budget_ <= 1.0,
                 "error budget must be in (0, 1]");
-  VOD_CHECK_MSG(config_.fast_window_slots >= 1 &&
-                    config_.slow_window_slots >= config_.fast_window_slots,
-                "windows must satisfy 1 <= fast <= slow");
-  VOD_CHECK_MSG(config_.alert_burn > 0.0, "alert burn must be positive");
-  fast_.width = config_.fast_window_slots;
-  slow_.width = config_.slow_window_slots;
+  fast_.width = kFastWindowSlots;
+  slow_.width = kSlowWindowSlots;
 }
 
 double SloTracker::bad_fraction() const {
@@ -25,24 +21,20 @@ double SloTracker::bad_fraction() const {
 double SloTracker::burn_of(uint64_t total, uint64_t bad) const {
   if (total == 0) return 0.0;
   return (static_cast<double>(bad) / static_cast<double>(total)) /
-         config_.error_budget;
-}
-
-double SloTracker::open_burn(const Window& w) const {
-  return burn_of(w.total, w.bad);
+         error_budget_;
 }
 
 void SloTracker::close(Window& w, bool is_fast) {
   const double burn = burn_of(w.total, w.bad);
   w.stats.windows += 1;
   w.stats.max_burn = std::max(w.stats.max_burn, burn);
-  if (burn >= config_.alert_burn) {
+  if (burn >= kAlertBurn) {
     w.stats.breached += 1;
     // Multi-window alert: a hot fast window only pages when the slow
     // window agrees the regression is sustained. The slow window's state
     // at this instant (its running burn) is deterministic for a fixed
     // sample stream.
-    if (is_fast && open_burn(slow_) >= config_.alert_burn) ++alerts_;
+    if (is_fast && burn_of(slow_.total, slow_.bad) >= kAlertBurn) ++alerts_;
   }
   w.total = 0;
   w.bad = 0;
@@ -76,42 +68,6 @@ void SloTracker::record(int64_t slot, uint64_t total, uint64_t bad) {
   slow_.bad += bad;
   total_ += total;
   bad_ += bad;
-}
-
-void SloTracker::advance_to(int64_t slot) {
-  advance(slow_, slot, /*is_fast=*/false);
-  advance(fast_, slot, /*is_fast=*/true);
-}
-
-void SloTracker::merge_from(const SloTracker& other) {
-  VOD_CHECK_MSG(config_.error_budget == other.config_.error_budget &&
-                    config_.fast_window_slots ==
-                        other.config_.fast_window_slots &&
-                    config_.slow_window_slots ==
-                        other.config_.slow_window_slots &&
-                    config_.alert_burn == other.config_.alert_burn,
-                "merging SLO trackers with different configs");
-  total_ += other.total_;
-  bad_ += other.bad_;
-  alerts_ += other.alerts_;
-  const Window* theirs[2] = {&other.fast_, &other.slow_};
-  Window* ours[2] = {&fast_, &slow_};
-  for (int i = 0; i < 2; ++i) {
-    const Window& o = *theirs[i];
-    Window& w = *ours[i];
-    w.stats.windows += o.stats.windows;
-    w.stats.breached += o.stats.breached;
-    w.stats.max_burn = std::max(w.stats.max_burn, o.stats.max_burn);
-    if (o.started && o.total > 0) {
-      // The other's open partial window becomes one closed window here, so
-      // the merged view never loses samples' window accounting. No alert
-      // test: alerts are a per-writer, in-stream signal.
-      const double burn = burn_of(o.total, o.bad);
-      w.stats.windows += 1;
-      w.stats.max_burn = std::max(w.stats.max_burn, burn);
-      if (burn >= config_.alert_burn) w.stats.breached += 1;
-    }
-  }
 }
 
 }  // namespace vod::obs

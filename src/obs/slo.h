@@ -11,69 +11,53 @@
 //   burn = (bad / total) / error_budget
 //
 // so burn 1.0 means the budget is being consumed exactly as fast as it
-// accrues and burn >= alert_burn in the fast window *while* the slow
-// window is also hot counts as an alert. Windows are closed lazily as
+// accrues and burn >= 1.0 in the fast window *while* the slow window is
+// also hot counts as an alert. Windows are closed lazily as
 // sample slots cross window boundaries — no wall clock, no timers — so for
 // a fixed seed every count below is bit-identical at any thread count.
 //
-// Concurrency contract: single writer, like the MetricShard that owns it
-// (the enclosing QoeShard asserts the discipline). merge_from() folds
-// another tracker's aggregates in deterministically when called in a fixed
-// shard order; the other tracker's still-open windows are folded in as one
-// closed window each, so a merged view never undercounts.
+// Concurrency contract: single writer, like the QoeShard that owns it
+// (the enclosing QoeShard asserts the discipline). A tracker scores one
+// stream.
 #pragma once
 
 #include <cstdint>
 
 namespace vod::obs {
 
-// Fixed at construction; merging trackers with different configs is a
-// contract violation (VOD_CHECK).
-struct SloConfig {
-  double error_budget = 0.01;     // allowed bad fraction in (0, 1]
-  int64_t fast_window_slots = 64;
-  int64_t slow_window_slots = 512;
-  double alert_burn = 1.0;        // both-windows-hot alert threshold
-};
-
 class SloTracker {
  public:
+  // Tumbling windows in slots, and the burn at which a window breaches
+  // (and, fast and slow together, alerts).
+  static constexpr int64_t kFastWindowSlots = 64;
+  static constexpr int64_t kSlowWindowSlots = 512;
+  static constexpr double kAlertBurn = 1.0;
+
   struct WindowStats {
     uint64_t windows = 0;   // closed windows (skipped empty ones included)
-    uint64_t breached = 0;  // closed with burn >= alert_burn
+    uint64_t breached = 0;  // closed with burn >= kAlertBurn
     double max_burn = 0.0;  // over all closed windows
   };
 
-  explicit SloTracker(const SloConfig& config);
+  // `error_budget` is the allowed bad fraction, in (0, 1].
+  explicit SloTracker(double error_budget);
 
   // Scores `total` samples at `slot`, `bad` of which violated the
   // objective. Slots must be non-decreasing per writer; a stale slot is
   // folded into the currently open window.
   void record(int64_t slot, uint64_t total, uint64_t bad);
 
-  // Closes any window the stream has moved past without flushing the
-  // currently open one; record() does this implicitly, so callers only
-  // need it when exporting mid-stream totals at a known end slot.
-  void advance_to(int64_t slot);
-
-  // Folds `other` into this tracker (same config required). Other's open
-  // windows are accounted as one closed window each.
-  void merge_from(const SloTracker& other);
-
-  const SloConfig& config() const { return config_; }
+  double error_budget() const { return error_budget_; }
   uint64_t total() const { return total_; }
   uint64_t bad() const { return bad_; }
   double bad_fraction() const;
   // Lifetime verdict: bad fraction within the error budget.
-  bool met() const { return bad_fraction() <= config_.error_budget; }
+  bool met() const { return bad_fraction() <= error_budget_; }
 
   const WindowStats& fast() const { return fast_.stats; }
   const WindowStats& slow() const { return slow_.stats; }
-  // Burn rate of the currently open (partial) window.
-  double open_fast_burn() const { return open_burn(fast_); }
-  double open_slow_burn() const { return open_burn(slow_); }
-  // Fast-window closes with burn >= alert_burn while the slow window
-  // (closed-or-open at that moment) was also at or past alert_burn.
+  // Fast-window closes with burn >= kAlertBurn while the slow window
+  // (closed-or-open at that moment) was also at or past kAlertBurn.
   uint64_t alerts() const { return alerts_; }
 
  private:
@@ -87,11 +71,10 @@ class SloTracker {
   };
 
   double burn_of(uint64_t total, uint64_t bad) const;
-  double open_burn(const Window& w) const;
   void advance(Window& w, int64_t slot, bool is_fast);
   void close(Window& w, bool is_fast);
 
-  SloConfig config_;
+  double error_budget_;
   uint64_t total_ = 0;
   uint64_t bad_ = 0;
   uint64_t alerts_ = 0;

@@ -129,16 +129,13 @@ WallSpan::~WallSpan() {
 }
 
 EngineObserver::EngineObserver() = default;
-EngineObserver::EngineObserver(Options options) : options_(options) {}
 EngineObserver::~EngineObserver() = default;
 
 void EngineObserver::prepare(size_t num_shards) {
-  registry_.prepare(num_shards);
   while (traces_.size() < num_shards) {
-    traces_.push_back(
-        std::make_unique<TraceBuffer>(options_.trace_capacity_per_shard));
-    flights_.push_back(
-        std::make_unique<FlightRecorder>(options_.flight_capacity_per_shard));
+    metrics_.push_back(std::make_unique<MetricShard>());
+    traces_.push_back(std::make_unique<TraceBuffer>());
+    flights_.push_back(std::make_unique<FlightRecorder>());
   }
 }
 
@@ -149,11 +146,17 @@ ObsSink EngineObserver::sink(size_t shard) {
   // becomes the shard's sole writer. Safe to detach here — sink() is only
   // called when no other thread touches the shard (the previous run's
   // workers joined before this run's started).
-  registry_.shard(shard).detach_writer();
+  metrics_[shard]->detach_writer();
   traces_[shard]->detach_writer();
   flights_[shard]->detach_writer();
-  return ObsSink{&registry_.shard(shard), traces_[shard].get(), nullptr,
+  return ObsSink{metrics_[shard].get(), traces_[shard].get(), nullptr,
                  flights_[shard].get()};
+}
+
+MetricShard EngineObserver::merged_metrics() const {
+  MetricShard out;
+  for (const auto& m : metrics_) out.merge_from(*m);
+  return out;
 }
 
 std::vector<const TraceBuffer*> EngineObserver::trace_buffers() const {

@@ -176,27 +176,23 @@ class WallSpan {
 };
 
 // Observability state for one run of the sharded multi-video engine: a
-// metric shard, a trace ring and a flight recorder per engine shard,
-// handed to workers as per-shard ObsSinks. The engine calls prepare()
-// before launching workers; each worker installs sink(s) for its shard
-// only, so recording is contention-free, and merged_metrics() folds shards
-// in ascending shard order — deterministic at any thread count. A sink
-// carries no QoE shard: every engine admission starts one slot after its
-// arrival and misses no deadline (DESIGN.md §15), so the engine records
-// no QoE.
+// metric shard, a trace ring (TraceBuffer's default 32,768 events) and a
+// flight recorder (FlightRecorder's default 128 decisions) per engine
+// shard, handed to workers as per-shard ObsSinks. The engine calls
+// prepare() before launching workers; each worker installs sink(s) for its
+// shard only, so recording is contention-free, and merged_metrics() folds
+// shards in ascending shard order — deterministic at any thread count. A
+// sink carries no QoE shard: every engine admission starts one slot after
+// its arrival and misses no deadline (DESIGN.md §15), so the engine
+// records no QoE.
 class EngineObserver {
  public:
-  struct Options {
-    size_t trace_capacity_per_shard = size_t{1} << 15;
-    size_t flight_capacity_per_shard = 128;
-  };
-
   EngineObserver();
-  explicit EngineObserver(Options options);
   ~EngineObserver();
 
-  // Grows to at least `num_shards` shards; existing shards stay valid.
-  // Orchestrator-only (not thread-safe).
+  // Grows to at least `num_shards` shards; existing shards (and every
+  // metric handle into them) stay valid. Orchestrator-only (not
+  // thread-safe).
   void prepare(size_t num_shards);
 
   size_t num_shards() const { return traces_.size(); }
@@ -204,7 +200,8 @@ class EngineObserver {
 
   // Every shard's trace ring, ascending shard order (exporter input).
   std::vector<const TraceBuffer*> trace_buffers() const;
-  MetricShard merged_metrics() const { return registry_.merged(); }
+  // Every shard's metrics folded in ascending shard order.
+  MetricShard merged_metrics() const;
   // An empty QoE shard, for callers that export the engine's QoE and SLO
   // files alongside its other outputs.
   std::unique_ptr<QoeShard> merged_qoe() const;
@@ -212,8 +209,7 @@ class EngineObserver {
   std::vector<const FlightRecorder*> flight_recorders() const;
 
  private:
-  Options options_;
-  MetricsRegistry registry_;
+  std::vector<std::unique_ptr<MetricShard>> metrics_;
   std::vector<std::unique_ptr<TraceBuffer>> traces_;
   std::vector<std::unique_ptr<FlightRecorder>> flights_;
 };

@@ -49,38 +49,4 @@ double IntervalSet::measure() const {
   return total;
 }
 
-double IntervalSet::measure_within(double lo, double hi) const {
-  if (hi <= lo) return 0.0;
-  double total = 0.0;
-  for (const Interval& iv : intervals_) {
-    const double a = std::max(iv.lo, lo);
-    const double b = std::min(iv.hi, hi);
-    if (b > a) total += b - a;
-  }
-  return total;
-}
-
-bool IntervalSet::covers(double lo, double hi) const {
-  if (hi <= lo) return true;
-  for (const Interval& iv : intervals_) {
-    if (iv.lo <= lo && hi <= iv.hi) return true;
-  }
-  return false;
-}
-
-IntervalSet IntervalSet::complement_within(double lo, double hi) const {
-  IntervalSet out;
-  if (hi <= lo) return out;
-  double cursor = lo;
-  for (const Interval& iv : intervals_) {
-    if (iv.hi <= lo) continue;
-    if (iv.lo >= hi) break;
-    if (iv.lo > cursor) out.add(cursor, std::min(iv.lo, hi));
-    cursor = std::max(cursor, iv.hi);
-    if (cursor >= hi) break;
-  }
-  if (cursor < hi) out.add(cursor, hi);
-  return out;
-}
-
 }  // namespace vod

@@ -33,17 +33,7 @@ class IntervalSet {
   // Total measure of the set.
   double measure() const;
 
-  // Measure of the intersection of this set with [lo, hi).
-  double measure_within(double lo, double hi) const;
-
-  // True when [lo, hi) is entirely contained in the set.
-  bool covers(double lo, double hi) const;
-
-  // The complement of this set within [lo, hi), as a fresh set.
-  IntervalSet complement_within(double lo, double hi) const;
-
   bool empty() const { return intervals_.empty(); }
-  void clear() { intervals_.clear(); }
   const std::vector<Interval>& intervals() const { return intervals_; }
 
  private:

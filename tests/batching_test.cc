@@ -81,7 +81,7 @@ TEST(Batching, QoeRecordsEachRequestsWaitToTheBoundary) {
   }
   ASSERT_EQ(qoe.total_requests(), 3u);
   ASSERT_EQ(qoe.groups().size(), 1u);
-  const obs::QoeGroup& group = qoe.groups().begin()->second;
+  const obs::QoeGroup& group = qoe.groups().front();
   EXPECT_DOUBLE_EQ(group.wait.sum(), want);
   EXPECT_EQ(group.late_segments, 0u);
 #endif
@@ -115,7 +115,7 @@ TEST(Batching, QoeWaitQuantilesResolveFractionsOfAnInterval) {
   ASSERT_EQ(r.requests, 100u);
 #ifndef VOD_OBSERVE_DISABLED
   ASSERT_EQ(qoe.groups().size(), 1u);
-  const obs::ExemplarHistogram& wait = qoe.groups().begin()->second.wait;
+  const obs::ExemplarHistogram& wait = qoe.groups().front().wait;
   ASSERT_EQ(wait.count(), 100u);
   const double width = wait.histogram().bin_width();
   const double p50 = wait.quantile(0.50);

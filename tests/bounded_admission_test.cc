@@ -212,7 +212,7 @@ TEST(BoundedSimulation, QoeWaitCountsTheDeferral) {
 #ifndef VOD_OBSERVE_DISABLED
   ASSERT_EQ(qoe.total_requests(), r.requests);
   double wait_sum = 0.0;
-  for (const auto& [key, group] : qoe.groups()) wait_sum += group.wait.sum();
+  for (const obs::QoeGroup& group : qoe.groups()) wait_sum += group.wait.sum();
   EXPECT_DOUBLE_EQ(wait_sum, static_cast<double>(r.requests) *
                                  (1.0 + r.avg_extra_wait_slots));
 #endif
@@ -277,9 +277,7 @@ TEST(BoundedSimulation, WaitingRequestsAreAdmittedFirst) {
   sim.warmup_hours = 0.0;
   sim.measured_hours = 10.0;
   obs::MetricShard metrics;
-  obs::QoeOptions options;
-  options.sample_ring_capacity = size_t{1} << 16;
-  obs::QoeShard qoe(options);
+  obs::QoeShard qoe(/*sample_capacity=*/size_t{1} << 16);
   obs::ObsSink sink{&metrics, nullptr, &qoe, nullptr};
   SlottedSimResult r;
   {

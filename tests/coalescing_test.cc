@@ -160,7 +160,7 @@ TEST(Coalescing, CappedAdmissionsRecordCapViolationsAsLateSegments) {
   EXPECT_EQ(qoe.total_requests(), s.total_requests());
   uint64_t late = 0;
   uint64_t admissions = 0;
-  for (const auto& [key, group] : qoe.groups()) {
+  for (const obs::QoeGroup& group : qoe.groups()) {
     late += group.late_segments;
     admissions += group.admissions;
     EXPECT_EQ(group.wait.sum(), static_cast<double>(group.requests));

@@ -97,74 +97,14 @@ TEST(IntervalSet, SubtractNoOverlapIsNoop) {
   EXPECT_DOUBLE_EQ(s.measure(), 1.0);
 }
 
-TEST(IntervalSet, MeasureWithin) {
-  IntervalSet s;
-  s.add(0.0, 2.0);
-  s.add(4.0, 6.0);
-  EXPECT_DOUBLE_EQ(s.measure_within(1.0, 5.0), 2.0);
-  EXPECT_DOUBLE_EQ(s.measure_within(2.0, 4.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.measure_within(-10.0, 10.0), 4.0);
-  EXPECT_DOUBLE_EQ(s.measure_within(5.0, 5.0), 0.0);
-}
-
-TEST(IntervalSet, Covers) {
-  IntervalSet s;
-  s.add(0.0, 2.0);
-  s.add(2.5, 5.0);
-  EXPECT_TRUE(s.covers(0.5, 1.5));
-  EXPECT_TRUE(s.covers(0.0, 2.0));
-  EXPECT_FALSE(s.covers(1.5, 3.0));  // crosses the gap
-  EXPECT_TRUE(s.covers(3.0, 3.0));   // empty range trivially covered
-}
-
-TEST(IntervalSet, ComplementWithin) {
-  IntervalSet s;
-  s.add(1.0, 2.0);
-  s.add(3.0, 4.0);
-  IntervalSet c = s.complement_within(0.0, 5.0);
-  ASSERT_EQ(c.intervals().size(), 3u);
-  EXPECT_DOUBLE_EQ(c.measure(), 3.0);
-  EXPECT_DOUBLE_EQ(c.intervals()[0].lo, 0.0);
-  EXPECT_DOUBLE_EQ(c.intervals()[0].hi, 1.0);
-  EXPECT_DOUBLE_EQ(c.intervals()[2].lo, 4.0);
-}
-
-TEST(IntervalSet, ComplementOfEmptyIsWhole) {
-  IntervalSet s;
-  IntervalSet c = s.complement_within(2.0, 7.0);
-  ASSERT_EQ(c.intervals().size(), 1u);
-  EXPECT_DOUBLE_EQ(c.measure(), 5.0);
-}
-
-TEST(IntervalSet, ComplementOfFullIsEmpty) {
-  IntervalSet s;
-  s.add(0.0, 10.0);
-  EXPECT_TRUE(s.complement_within(2.0, 7.0).empty());
-}
-
-TEST(IntervalSet, ComplementClipsPartialOverlap) {
-  IntervalSet s;
-  s.add(0.0, 3.0);
-  IntervalSet c = s.complement_within(2.0, 5.0);
-  ASSERT_EQ(c.intervals().size(), 1u);
-  EXPECT_DOUBLE_EQ(c.intervals()[0].lo, 3.0);
-  EXPECT_DOUBLE_EQ(c.intervals()[0].hi, 5.0);
-}
-
-TEST(IntervalSet, ClearResets) {
-  IntervalSet s;
-  s.add(0.0, 1.0);
-  s.clear();
-  EXPECT_TRUE(s.empty());
-}
-
 // Property test: random adds/subtracts agree with a brute-force boolean
-// grid over [0, 100) at integer resolution.
+// grid over [0, 130) at integer resolution, which holds every range
+// drawn (lo < 100, hi < lo + 30).
 TEST(IntervalSetProperty, MatchesBruteForceGrid) {
   Rng rng(1234);
   for (int trial = 0; trial < 50; ++trial) {
     IntervalSet s;
-    std::vector<bool> grid(100, false);
+    std::vector<bool> grid(130, false);
     for (int op = 0; op < 40; ++op) {
       const int lo = static_cast<int>(rng.uniform_index(100));
       const int hi = lo + static_cast<int>(rng.uniform_index(30));
@@ -174,12 +114,10 @@ TEST(IntervalSetProperty, MatchesBruteForceGrid) {
       } else {
         s.subtract(lo, hi);
       }
-      for (int x = lo; x < hi && x < 100; ++x) {
-        grid[static_cast<size_t>(x)] = add;
-      }
+      for (int x = lo; x < hi; ++x) grid[static_cast<size_t>(x)] = add;
       double grid_measure = 0.0;
       for (bool b : grid) grid_measure += b ? 1.0 : 0.0;
-      ASSERT_DOUBLE_EQ(s.measure_within(0.0, 100.0), grid_measure)
+      ASSERT_DOUBLE_EQ(s.measure(), grid_measure)
           << "trial " << trial << " op " << op;
     }
     // Invariant: intervals sorted, disjoint, non-empty, non-adjacent.
@@ -190,21 +128,6 @@ TEST(IntervalSetProperty, MatchesBruteForceGrid) {
         ASSERT_LT(ivs[i - 1].hi, ivs[i].lo);
       }
     }
-  }
-}
-
-// Complement twice returns the original restricted to the window.
-TEST(IntervalSetProperty, DoubleComplementIsIdentity) {
-  Rng rng(99);
-  for (int trial = 0; trial < 30; ++trial) {
-    IntervalSet s;
-    for (int i = 0; i < 10; ++i) {
-      const double lo = rng.uniform(0.0, 90.0);
-      s.add(lo, lo + rng.uniform(0.0, 15.0));
-    }
-    const IntervalSet cc =
-        s.complement_within(0.0, 100.0).complement_within(0.0, 100.0);
-    EXPECT_NEAR(cc.measure(), s.measure_within(0.0, 100.0), 1e-9);
   }
 }
 

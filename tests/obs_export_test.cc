@@ -68,45 +68,63 @@ TEST(ChromeTrace, MergesBuffersAndCountsDrops) {
   EXPECT_TRUE(contains(json, "\"name\":\"b\""));
 }
 
+TEST(ChromeTrace, CountersCarryTheirTrackAsId) {
+  // Two runs of one counter on tracks 0 and 1 sample the same slot. Chrome
+  // keys a counter series by (pid, name, id), so each sample carries its
+  // track as its id; other phases carry none.
+  TraceBuffer buffer(8);
+  obs::emit_counter(&buffer, "streams", "dhb", 5, 2);
+  obs::emit_instant(&buffer, "admission/rejected", "dhb", 5, {});
+  buffer.set_track(1);
+  obs::emit_counter(&buffer, "streams", "dhb", 5, 3);
+  const std::string json = obs::chrome_trace_json({&buffer});
+  EXPECT_TRUE(contains(json, "\"ts\":5000,\"pid\":1,\"tid\":0,\"id\":0,"
+                             "\"args\":{\"value\":2}"));
+  EXPECT_TRUE(contains(json, "\"ts\":5000,\"pid\":1,\"tid\":1,\"id\":1,"
+                             "\"args\":{\"value\":3}"));
+  EXPECT_TRUE(contains(json, "\"ph\":\"i\",\"ts\":5000,\"pid\":1,"
+                             "\"tid\":0,\"s\":\"t\""));
+}
+
 TEST(QoeJsonl, GroupLinesCarryHistogramAndExemplars) {
   QoeShard qoe;
-  qoe.set_context(2, 1);
+  EXPECT_TRUE(obs::qoe_jsonl(qoe).empty());  // nothing recorded yet
   qoe.record_admission(3, /*arrival_slot=*/40, /*wait_slots=*/1.0, 0, 10);
   qoe.record_admission(1, 44, 9.0, 2, 10);
   const std::string text = obs::qoe_jsonl(qoe);
-  EXPECT_TRUE(contains(text, "{\"kind\":\"qoe\",\"video\":2,\"rung\":1,"
-                             "\"rung_name\":\"dhb\""));
-  EXPECT_TRUE(contains(text, "\"admissions\":2,\"requests\":4,"
-                             "\"segments\":40,\"late_segments\":2"));
+  EXPECT_TRUE(contains(text, "{\"kind\":\"qoe\",\"admissions\":2,"
+                             "\"requests\":4,\"segments\":40,"
+                             "\"late_segments\":2"));
   EXPECT_TRUE(contains(text, "\"wait_count\":4"));
   // The straggler's exemplar: bucket 144 of the 1/16-slot bins, the second
-  // admission's request id (2 << 32 | 3) at its arrival slot.
-  EXPECT_TRUE(contains(text, "\"bucket\":144,\"request_id\":8589934595,"
+  // admission's request id (3, after the first batch's 0..2) at its
+  // arrival slot.
+  EXPECT_TRUE(contains(text, "\"bucket\":144,\"request_id\":3,"
                              "\"slot\":44,\"value\":9"));
   size_t lines = 0;
   for (char c : text) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 1u);  // one line per (video, rung) group
+  EXPECT_EQ(lines, 1u);  // one line per QoE stream
 }
 
-TEST(SloJsonl, GroupAndRungScopesBothObjectives) {
+TEST(SloJsonl, OneLinePerObjective) {
   QoeShard qoe;
-  qoe.set_context(0, 1);
+  EXPECT_TRUE(obs::slo_jsonl(qoe).empty());  // nothing recorded yet
   qoe.record_admission(99, 0, 1.0, 0, 10);
-  qoe.set_context(1, 1);
   qoe.record_admission(100, 0, 20.0, 1, 10);  // every wait past objective 8
   const std::string text = obs::slo_jsonl(qoe);
-  // Two objectives per group line, video kept.
-  EXPECT_TRUE(contains(text, "\"scope\":\"group\",\"video\":0,\"rung\":1,"
-                             "\"rung_name\":\"dhb\",\"objective\":"
-                             "\"startup_wait\""));
-  EXPECT_TRUE(contains(text, "\"objective\":\"continuity\""));
-  // The rung rollup folds both videos and omits the video field.
-  EXPECT_TRUE(contains(text, "\"scope\":\"rung\",\"rung\":1"));
-  EXPECT_TRUE(contains(text, "\"total\":199,\"bad\":100"));
+  EXPECT_TRUE(contains(text, "{\"kind\":\"slo\",\"objective\":"
+                             "\"startup_wait\",\"target\":8,"
+                             "\"budget\":0.01,\"total\":199,\"bad\":100"));
+  EXPECT_TRUE(contains(text, "{\"kind\":\"slo\",\"objective\":"
+                             "\"continuity\",\"target\":0.999,"
+                             "\"budget\":0.001,\"total\":1990,"
+                             "\"bad\":100"));
   EXPECT_TRUE(contains(text, "\"met\":false"));
+  EXPECT_TRUE(contains(text, "\"fast_window_slots\":64"));
+  EXPECT_TRUE(contains(text, "\"slow_window_slots\":512"));
   size_t lines = 0;
   for (char c : text) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 6u);  // 2 groups + 1 rung, 2 objectives each
+  EXPECT_EQ(lines, 2u);  // one per objective
 }
 
 TEST(DecisionsJsonl, OneLinePerRetainedDecision) {

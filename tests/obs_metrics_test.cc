@@ -15,7 +15,6 @@ using obs::Counter;
 using obs::Gauge;
 using obs::HistogramMetric;
 using obs::MetricShard;
-using obs::MetricsRegistry;
 
 [[noreturn]] void throwing_handler(const char* expr, const char*, int,
                                    const char*) {
@@ -84,29 +83,6 @@ TEST(MetricShard, MergeFromAddsEverything) {
   EXPECT_EQ(h->histogram().bins()[1], 2u);
   EXPECT_EQ(h->histogram().bins()[3], 1u);
   EXPECT_DOUBLE_EQ(h->sum(), 6.5);
-}
-
-TEST(MetricsRegistry, MergedFoldsAllShards) {
-  MetricsRegistry registry(3);
-  for (size_t s = 0; s < 3; ++s) {
-    registry.shard(s).counter("videos_total")->inc(s + 1);
-    registry.shard(s).histogram("batch", 0.0, 8.0, 8)
-        ->observe(static_cast<double>(s));
-  }
-  const MetricShard merged = registry.merged();
-  EXPECT_EQ(merged.counter_value("videos_total"), 6u);
-  EXPECT_EQ(merged.find_histogram("batch")->count(), 3u);
-}
-
-TEST(MetricsRegistry, PrepareGrowsAndKeepsHandles) {
-  MetricsRegistry registry(1);
-  Counter* c = registry.shard(0).counter("a_total");
-  c->inc();
-  registry.prepare(4);
-  EXPECT_EQ(registry.num_shards(), 4u);
-  EXPECT_EQ(registry.shard(0).counter("a_total"), c);  // still valid
-  registry.prepare(2);  // never shrinks
-  EXPECT_EQ(registry.num_shards(), 4u);
 }
 
 // The scheduler's export carries its total_*() accessors and the

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.h"
+
 namespace vod {
 namespace {
 
@@ -128,9 +130,7 @@ TEST(Macros, NoSinkIsSafe) {
 }
 
 TEST(EngineObserver, ShardsAreIndependentAndMergeInOrder) {
-  EngineObserver::Options options;
-  options.trace_capacity_per_shard = 8;
-  EngineObserver observer(options);
+  EngineObserver observer;
   observer.prepare(3);
   EXPECT_EQ(observer.num_shards(), 3u);
 
@@ -138,6 +138,8 @@ TEST(EngineObserver, ShardsAreIndependentAndMergeInOrder) {
     ObsSink sink = observer.sink(s);
     ASSERT_NE(sink.metrics, nullptr);
     ASSERT_NE(sink.trace, nullptr);
+    ASSERT_NE(sink.flight, nullptr);
+    EXPECT_EQ(sink.qoe, nullptr);  // the engine records no QoE
     sink.metrics->counter("videos_total")->inc(s + 1);
     sink.trace->emit(instant("done", static_cast<int64_t>(s)));
   }
@@ -147,11 +149,41 @@ TEST(EngineObserver, ShardsAreIndependentAndMergeInOrder) {
   for (size_t s = 0; s < 3; ++s) {
     ASSERT_EQ(buffers[s]->size(), 1u);
     EXPECT_EQ(buffers[s]->snapshot()[0].ts, static_cast<int64_t>(s));
-    EXPECT_EQ(buffers[s]->capacity(), 8u);
+    EXPECT_EQ(buffers[s]->capacity(), size_t{1} << 15);
+  }
+  for (const obs::FlightRecorder* f : observer.flight_recorders()) {
+    EXPECT_EQ(f->capacity(), 128u);
   }
   observer.prepare(2);  // never shrinks, shards keep their contents
   EXPECT_EQ(observer.num_shards(), 3u);
   EXPECT_EQ(observer.merged_metrics().counter_value("videos_total"), 6u);
+}
+
+TEST(EngineObserver, MergedFoldsAllShards) {
+  EngineObserver observer;
+  observer.prepare(3);
+  for (size_t s = 0; s < 3; ++s) {
+    obs::MetricShard& shard = *observer.sink(s).metrics;
+    shard.counter("videos_total")->inc(s + 1);
+    shard.histogram("batch", 0.0, 8.0, 8)->observe(static_cast<double>(s));
+  }
+  const obs::MetricShard merged = observer.merged_metrics();
+  EXPECT_EQ(merged.counter_value("videos_total"), 6u);
+  ASSERT_NE(merged.find_histogram("batch"), nullptr);
+  EXPECT_EQ(merged.find_histogram("batch")->count(), 3u);
+}
+
+TEST(EngineObserver, PrepareGrowsAndKeepsHandles) {
+  EngineObserver observer;
+  observer.prepare(1);
+  obs::Counter* c = observer.sink(0).metrics->counter("a_total");
+  c->inc();
+  observer.prepare(4);
+  EXPECT_EQ(observer.num_shards(), 4u);
+  EXPECT_EQ(observer.sink(0).metrics->counter("a_total"), c);  // still valid
+  observer.prepare(2);  // never shrinks
+  EXPECT_EQ(observer.num_shards(), 4u);
+  EXPECT_EQ(observer.merged_metrics().counter_value("a_total"), 1u);
 }
 
 }  // namespace
