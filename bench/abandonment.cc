@@ -66,8 +66,12 @@ double run(double rate, bool oracle, uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace vod::bench;
 
-  // --trace-out / --metrics-out / --qoe-out / --slo-out record the sweep.
-  BenchObservability obs(argc, argv);
+  // The runs step a DhbScheduler directly, outside the simulation loops
+  // that record observations, so the bench takes no flags.
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
+  }
 
   print_header("Early departure: never-cancel waste (99 segments)",
                "viewers watch a geometric length, mean ~half the video");
@@ -81,7 +85,6 @@ int main(int argc, char** argv) {
         {rate, standard, oracle, 100.0 * (standard - oracle) / standard}, 2);
   }
   table.print();
-  if (obs.enabled() && !obs.write()) return 1;
 
   std::printf(
       "\nShape checks: the waste of scheduling whole suffixes for viewers\n"

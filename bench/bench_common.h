@@ -49,18 +49,17 @@ inline void print_header(const std::string& title, const std::string& notes) {
   std::printf("== %s ==\n%s\n\n", title.c_str(), notes.c_str());
 }
 
-// Optional observability surface of the sweep benches (abandonment,
-// admission, fig7, fig8, fig9 and reactive_landscape): construct with
-// argv, and when the user passed --trace-out, --metrics-out, --qoe-out
-// and/or --slo-out an ambient ObsSink is installed for the object's
-// lifetime (so simulator runs record trace events, snapshot their
-// counters, and account client-perceived QoE). Every run of the sweep
-// records into the same sink: the metrics add up over the runs, and the
-// QoE is one stream that pools them. Call begin_run() before each
-// simulated run so its trace events land on a track of its own. A
-// --qoe-out also arms the VOD_CHECK violation dump at
-// <qoe-out>.violations for the object's lifetime. Call write() once the
-// sweep is done. With no flag the object is inert.
+// Optional observability surface of the sweep benches (admission, fig7,
+// fig8, fig9 and reactive_landscape): construct with argv, and when the
+// user passed --trace-out, --metrics-out, --qoe-out and/or --slo-out an
+// ambient ObsSink is installed for the object's lifetime (so simulator
+// runs record trace events, snapshot their counters, and account
+// client-perceived QoE). Every run of the sweep records into the same
+// sink: the metrics add up over the runs, and the QoE is one stream that
+// pools them. Call begin_run() before each simulated run so its trace
+// events land on a track of its own. A --qoe-out also arms the VOD_CHECK
+// violation dump at <qoe-out>.violations for the object's lifetime. Call
+// write() once the sweep is done. With no flag the object is inert.
 class BenchObservability {
  public:
   // True when `arg` is one of the flags this class consumes; such flags

@@ -92,6 +92,9 @@ DhbScheduler::DhbScheduler(const DhbConfig& config)
   const size_t n = static_cast<size_t>(config.num_segments);
   result_scratch_.plan.reception_slot.reserve(n);
   memo_result_.plan.reception_slot.reserve(n);
+  if (config.client_stream_cap > 0) {
+    window_counts_.resize(static_cast<size_t>(window_));
+  }
 }
 
 void DhbScheduler::export_metrics(obs::MetricShard* out) const {
@@ -112,13 +115,9 @@ void DhbScheduler::export_metrics(obs::MetricShard* out) const {
   add("schedule_advances_total", static_cast<uint64_t>(schedule_.now()));
   add("schedule_index_queries_total", index_queries_);
   add("schedule_index_updates_total", schedule_.total_index_updates());
-  // Memory-behavior meters (DESIGN.md §14): slab re-layouts and arena
-  // block/byte consumption across the schedule slabs and the admission
-  // scratch. The steady-state allocation audit asserts these flat.
+  // Memory-behavior meter (DESIGN.md §14): slab re-layouts, which the
+  // steady-state allocation audit asserts flat.
   add("schedule_slab_grows_total", schedule_.total_slab_grows());
-  add("schedule_arena_blocks_total", schedule_.total_arena_blocks());
-  add("schedule_arena_bytes_total", schedule_.total_arena_bytes());
-  add("dhb_scratch_blocks_total", scratch_.total_block_allocations());
 }
 
 std::optional<Slot> DhbScheduler::choose_capped_slot(Slot lo, Slot hi,
@@ -246,13 +245,11 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
       static_cast<size_t>(n - first_segment + 1));
 
   // Client reception load per window slot (capped mode only); index k is
-  // slot arrival + 1 + k. Scratch-arena backed: rewound on exit, reset
-  // each slot — a warm admission allocates nothing.
-  const Arena::Mark scratch_mark = scratch_.mark();
+  // slot arrival + 1 + k.
   int* client_load = nullptr;
   if (cap > 0) {
-    client_load = scratch_.alloc_array<int>(static_cast<size_t>(window_));
-    std::fill_n(client_load, static_cast<size_t>(window_), 0);
+    std::fill(window_counts_.begin(), window_counts_.end(), 0);
+    client_load = window_counts_.data();
   }
 
   for (Segment j = first_segment; j <= n; ++j) {
@@ -334,7 +331,6 @@ std::vector<int> DhbScheduler::resume_periods(Segment first_segment) const {
         chosen;
   }
 
-  scratch_.rewind(scratch_mark);
   if (empty_full) record_empty_plan();
   if (cap > 0) record_capped_qoe(result);
   finish_admission(result);
@@ -390,17 +386,10 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
   const int n = config_.num_segments;
 
   // Tentative additions per window slot; nothing touches the schedule
-  // until every segment has found a home. Scratch-arena backed, rewound on
-  // every exit path.
-  const Arena::Mark scratch_mark = scratch_.mark();
-  int* bounded_added = scratch_.alloc_array<int>(static_cast<size_t>(window_));
-  std::fill_n(bounded_added, static_cast<size_t>(window_), 0);
-  struct Placement {
-    Segment segment;
-    Slot slot;
-  };
-  auto* placements = scratch_.alloc_array<Placement>(static_cast<size_t>(n));
-  size_t placed = 0;
+  // until every segment has found a home.
+  window_counts_.assign(static_cast<size_t>(window_), 0);
+  placements_.clear();
+  placements_.reserve(static_cast<size_t>(n));
 
   DhbRequestResult result;
   result.plan.arrival_slot = arrival;
@@ -425,7 +414,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
       int best_load = channel_cap;
       for (Slot s = hi; s >= lo; --s) {
         const int load =
-            schedule_.load(s) + bounded_added[static_cast<size_t>(s - lo)];
+            schedule_.load(s) + window_counts_[static_cast<size_t>(s - lo)];
         if (load < best_load) {
           best_load = load;
           chosen = s;
@@ -436,24 +425,22 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
         // above stay attributable (probes per attempt = probes /
         // (admitted + rejected)) instead of silently skewing the
         // per-admission cost metric.
-        scratch_.rewind(scratch_mark);
         ++rejected_;
         VOD_TRACE_INSTANT("admission/rejected", "dhb", arrival,
                           {"segment", j}, {"channel_cap", channel_cap});
         return std::nullopt;
       }
-      ++bounded_added[static_cast<size_t>(chosen - lo)];
-      placements[placed++] = Placement{j, chosen};
+      ++window_counts_[static_cast<size_t>(chosen - lo)];
+      placements_.push_back(Placement{j, chosen});
       ++result.new_instances;
       work_ += kWorkCommit;
     }
     result.plan.reception_slot[static_cast<size_t>(j - 1)] = chosen;
   }
 
-  for (size_t p = 0; p < placed; ++p) {
-    schedule_.add_instance(placements[p].segment, placements[p].slot);
+  for (const Placement& p : placements_) {
+    schedule_.add_instance(p.segment, p.slot);
   }
-  scratch_.rewind(scratch_mark);
   finish_admission(result);
   return result;
 }

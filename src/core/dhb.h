@@ -53,7 +53,6 @@
 #include "schedule/slot_schedule.h"
 #include "schedule/types.h"
 #include "sim/random.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/lifetime.h"
 #include "util/thread_checker.h"
@@ -249,7 +248,7 @@ class DhbScheduler {
  private:
   // Slot choice restricted to slots where the client still has reception
   // capacity; nullopt when no slot in [lo, hi] qualifies. `client_load`
-  // has window_ entries (scratch-arena backed).
+  // has window_ entries (window_counts_).
   std::optional<Slot> choose_capped_slot(Slot lo, Slot hi,
                                          const int* client_load,
                                          Slot arrival) const;
@@ -333,12 +332,20 @@ class DhbScheduler {
   // batch path never does).
   DhbRequestResult result_scratch_;
 
-  // Per-scheduler scratch region (DESIGN.md §14): transient per-admission
-  // arrays — capped-mode client loads, bounded-mode tentative placements —
-  // are bump-allocated here under a mark()/rewind() pair, and the whole
-  // region is reset when the clock advances. After warmup the region
-  // recycles its warm blocks: zero system allocations per slot.
-  Arena scratch_{size_t{4096}};
+  // Per-admission scratch, reused so a warm admission allocates nothing.
+  // One count per window slot (entry k is slot arrival + 1 + k): a capped
+  // client's receptions (sized at construction when client_stream_cap > 0)
+  // or a bounded admission's tentative placements (sized on first use).
+  // Bounded admission requires a cap of 0, so the two never share an
+  // admission.
+  std::vector<int> window_counts_;
+  // A bounded admission's placements, committed only once every segment
+  // has found a slot; sized on first use.
+  struct Placement {
+    Segment segment;
+    Slot slot;
+  };
+  std::vector<Placement> placements_;
 };
 
 #ifdef VOD_AUDIT
@@ -355,16 +362,10 @@ inline std::span<const Segment> DhbScheduler::advance_slot_view() {
   if (schedule_.total_scheduled() == 0) {
     // Every admission that succeeds leaves an instance in the window, so
     // none has run since the last step (a refused bounded one invalidates
-    // the memo and rewinds the arena itself): the memo is already invalid
-    // and the scratch arena already reset. Only the clock moves.
+    // the memo itself): the memo is already invalid. Only the clock moves.
     VOD_DCHECK(!memo_valid_);
-    VOD_DCHECK(scratch_.mark().block == 0 && scratch_.mark().used == 0);
   } else {
     memo_valid_ = false;  // plans are per-arrival-slot; the clock moved
-    // Slot boundary: every per-admission scratch allocation is dead, so
-    // the arena drops back to empty (blocks retained — warm slots allocate
-    // nothing from the system).
-    scratch_.reset();
   }
   const std::span<const Segment> out = schedule_.advance();
 #ifdef VOD_AUDIT
@@ -378,11 +379,10 @@ inline std::span<const Segment> DhbScheduler::advance_slot_view() {
 
 inline void DhbScheduler::advance_to(Slot slot) {
   VOD_DCHECK_SERIAL(serial_);
-  // SlotSchedule::advance_to checks the schedule is empty; the memo and the
-  // scratch arena then already are too (see advance_slot_view()).
+  // SlotSchedule::advance_to checks the schedule is empty; the memo then
+  // already is invalid (see advance_slot_view()).
   schedule_.advance_to(slot);
   VOD_DCHECK(!memo_valid_);
-  VOD_DCHECK(scratch_.mark().block == 0 && scratch_.mark().used == 0);
 #ifdef VOD_AUDIT
   audit_or_die(*this);
 #endif

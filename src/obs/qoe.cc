@@ -10,15 +10,6 @@ namespace vod::obs {
 ExemplarHistogram::ExemplarHistogram(double lo, double hi, size_t bins)
     : hist_(lo, hi, bins), exemplars_(bins) {}
 
-size_t ExemplarHistogram::bucket_of(double x) const {
-  const double idx = (x - hist_.lo()) / hist_.bin_width();
-  if (idx >= static_cast<double>(exemplars_.size())) {
-    return exemplars_.size() - 1;
-  }
-  if (idx > 0.0) return static_cast<size_t>(idx);
-  return 0;
-}
-
 namespace {
 
 // The "worse exemplar" rule: largest value wins, ties break to the
@@ -34,9 +25,8 @@ bool exemplar_worse(const QoeExemplar& a, const QoeExemplar& b) {
 void ExemplarHistogram::observe_n(double x, uint64_t n, uint64_t request_id,
                                   int64_t slot) {
   if (n == 0) return;
-  const size_t b = bucket_of(x);
-  const bool first = hist_.bins()[b] == 0;
-  hist_.add_n(x, n);
+  const size_t b = hist_.add_n(x, n);
+  const bool first = hist_.bins()[b] == n;
   sum_ += x * static_cast<double>(n);
   const QoeExemplar candidate{request_id, slot, x};
   if (first || exemplar_worse(candidate, exemplars_[b])) {

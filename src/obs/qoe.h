@@ -85,9 +85,6 @@ class ExemplarHistogram {
   const std::vector<QoeExemplar>& exemplars() const { return exemplars_; }
 
  private:
-  // Mirrors Histogram::add_n's clamping bucket math exactly.
-  size_t bucket_of(double x) const;
-
   Histogram hist_;
   std::vector<QoeExemplar> exemplars_;
   double sum_ = 0.0;

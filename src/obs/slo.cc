@@ -47,10 +47,13 @@ void SloTracker::advance(Window& w, int64_t slot, bool is_fast) {
     w.index = idx;
     return;
   }
-  if (idx <= w.index) return;  // stale or same window: fold into current
+  if (idx == w.index) return;
   close(w, is_fast);
-  // Sample-free windows in between closed with burn 0 (never a breach).
-  w.stats.windows += static_cast<uint64_t>(idx - w.index - 1);
+  // Sample-free windows skipped by a forward jump closed with burn 0
+  // (never a breach); a restarted clock skipped none.
+  if (idx > w.index) {
+    w.stats.windows += static_cast<uint64_t>(idx - w.index - 1);
+  }
   w.index = idx;
 }
 

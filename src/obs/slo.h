@@ -43,8 +43,10 @@ class SloTracker {
   explicit SloTracker(double error_budget);
 
   // Scores `total` samples at `slot`, `bad` of which violated the
-  // objective. Slots must be non-decreasing per writer; a stale slot is
-  // folded into the currently open window.
+  // objective. A slot in a later window closes the open one (and counts
+  // the skipped windows as clean); a slot in an earlier window, as when
+  // a sweep's next run restarts the slot clock, closes the open one too
+  // and opens that window afresh.
   void record(int64_t slot, uint64_t total, uint64_t bad);
 
   double error_budget() const { return error_budget_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 
@@ -23,21 +24,6 @@ size_t ring_pow2(int window) {
   return size;
 }
 
-// One arena block sized to the construction-time slabs, so a scheduler
-// that never outgrows its initial strides owns exactly one block.
-size_t initial_arena_bytes(int num_segments, int window) {
-  const size_t ring = ring_pow2(window);
-  const size_t segs = static_cast<size_t>(num_segments) + 1;
-  const size_t bytes = ring * sizeof(int)                            // loads
-                       + ring * kInitialContentsCap * sizeof(Segment)
-                       + ring * sizeof(int)                   // contents_len
-                       + segs * kInitialSegCap * sizeof(Slot)  // seg slab
-                       + segs * sizeof(int)                    // seg_len
-                       + segs * sizeof(Slot)                   // latest
-                       + 64;                                   // align slack
-  return bytes < 1024 ? 1024 : bytes;
-}
-
 // Minimum of `m` and the loads in [first, last): a select per element and
 // no early exit, so GCC vectorizes it at -O3 with plain SSE2 (a compare
 // and a blend per vector), no intrinsics and no -march.
@@ -51,7 +37,6 @@ int fold_min(const int* first, const int* last, int m) {
 SlotSchedule::SlotSchedule(int num_segments, int window, bool placement_index)
     : num_segments_(num_segments),
       window_(window),
-      arena_(initial_arena_bytes(num_segments, window)),
       ring_size_(ring_pow2(window)),
       ring_mask_(ring_size_ - 1),
       contents_cap_(kInitialContentsCap),
@@ -60,45 +45,32 @@ SlotSchedule::SlotSchedule(int num_segments, int window, bool placement_index)
   VOD_CHECK(window >= 1);
   if (placement_index) index_.emplace(ring_size_);
   const size_t segs = static_cast<size_t>(num_segments) + 1;
-  loads_ = arena_.alloc_array<int>(ring_size_);
-  contents_slab_ = arena_.alloc_array<Segment>(ring_size_ * contents_cap_);
-  contents_len_ = arena_.alloc_array<int>(ring_size_);
-  seg_slab_ = arena_.alloc_array<Slot>(segs * seg_cap_);
-  seg_len_ = arena_.alloc_array<int>(segs);
-  latest_ = arena_.alloc_array<Slot>(segs);
-  std::fill_n(loads_, ring_size_, 0);
-  std::fill_n(contents_len_, ring_size_, 0);
-  std::fill_n(seg_len_, segs, 0);
-  std::fill_n(latest_, segs, Slot{0});
+  loads_.resize(ring_size_);
+  contents_slab_.resize(ring_size_ * contents_cap_);
+  contents_len_.resize(ring_size_);
+  seg_slab_.resize(segs * seg_cap_);
+  seg_len_.resize(segs);
+  latest_.resize(segs);
 }
 
 void SlotSchedule::grow_contents() {
   const size_t new_cap = contents_cap_ * 2;
-  Segment* slab = arena_.alloc_array<Segment>(ring_size_ * new_cap);
+  std::vector<Segment> slab(ring_size_ * new_cap);
   for (size_t r = 0; r < ring_size_; ++r) {
-    const int len = contents_len_[r];
-    if (len > 0) {
-      std::memcpy(slab + r * new_cap, contents_slab_ + r * contents_cap_,
-                  static_cast<size_t>(len) * sizeof(Segment));
-    }
+    std::copy_n(contents_row(r), contents_len_[r], slab.data() + r * new_cap);
   }
-  contents_slab_ = slab;
+  contents_slab_ = std::move(slab);
   contents_cap_ = new_cap;
   ++slab_grows_;
 }
 
 void SlotSchedule::grow_segments() {
   const size_t new_cap = seg_cap_ * 2;
-  const size_t segs = static_cast<size_t>(num_segments_) + 1;
-  Slot* slab = arena_.alloc_array<Slot>(segs * new_cap);
-  for (size_t j = 0; j < segs; ++j) {
-    const int len = seg_len_[j];
-    if (len > 0) {
-      std::memcpy(slab + j * new_cap, seg_slab_ + j * seg_cap_,
-                  static_cast<size_t>(len) * sizeof(Slot));
-    }
+  std::vector<Slot> slab(seg_len_.size() * new_cap);
+  for (size_t j = 0; j < seg_len_.size(); ++j) {
+    std::copy_n(seg_row(j), seg_len_[j], slab.data() + j * new_cap);
   }
-  seg_slab_ = slab;
+  seg_slab_ = std::move(slab);
   seg_cap_ = new_cap;
   ++slab_grows_;
 }
@@ -240,16 +212,17 @@ SlotSchedule::MinLoad SlotSchedule::scan_min_load_latest(Slot lo,
   const size_t b = ring_index(hi);
   const bool wraps = a > b;
   const size_t early_end = wraps ? ring_size_ : b + 1;
-  int m = fold_min(loads_ + a, loads_ + early_end,
+  const int* loads = loads_.data();
+  int m = fold_min(loads + a, loads + early_end,
                    std::numeric_limits<int>::max());
   if (wraps) {
-    m = fold_min(loads_, loads_ + b + 1, m);
+    m = fold_min(loads, loads + b + 1, m);
     for (size_t p = b + 1; p-- > 0;) {
-      if (loads_[p] == m) return MinLoad{hi - static_cast<Slot>(b - p), m};
+      if (loads[p] == m) return MinLoad{hi - static_cast<Slot>(b - p), m};
     }
   }
   size_t p = early_end - 1;
-  while (loads_[p] != m) --p;
+  while (loads[p] != m) --p;
   return MinLoad{lo + static_cast<Slot>(p - a), m};
 }
 
@@ -260,14 +233,15 @@ SlotSchedule::MinLoad SlotSchedule::scan_min_load_earliest(Slot lo,
   const size_t b = ring_index(hi);
   const bool wraps = a > b;
   const size_t early_end = wraps ? ring_size_ : b + 1;
-  int m = fold_min(loads_ + a, loads_ + early_end,
+  const int* loads = loads_.data();
+  int m = fold_min(loads + a, loads + early_end,
                    std::numeric_limits<int>::max());
-  if (wraps) m = fold_min(loads_, loads_ + b + 1, m);
+  if (wraps) m = fold_min(loads, loads + b + 1, m);
   for (size_t p = a; p < early_end; ++p) {
-    if (loads_[p] == m) return MinLoad{lo + static_cast<Slot>(p - a), m};
+    if (loads[p] == m) return MinLoad{lo + static_cast<Slot>(p - a), m};
   }
   size_t p = 0;
-  while (loads_[p] != m) ++p;
+  while (loads[p] != m) ++p;
   return MinLoad{hi - static_cast<Slot>(b - p), m};
 }
 

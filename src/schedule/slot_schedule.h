@@ -11,8 +11,7 @@
 // max_j T[j] <= n).
 //
 // Memory layout (DESIGN.md §14). All state lives in flat
-// structure-of-arrays slabs carved from a private Arena (util/arena.h),
-// not in nested std::vectors:
+// structure-of-arrays slabs, one std::vector each, not in nested vectors:
 //   * the per-slot ring — load counters and slot contents — is sized to a
 //     power of two (>= window + 1), so the slot → ring-position map is a
 //     mask, not a division;
@@ -22,9 +21,9 @@
 //     same stride scheme (rows almost always hold 0 or 1 entries — the §3
 //     sharing invariant), plus a flat latest-instance array;
 //   * a slab that outgrows its row capacity is re-laid-out at double the
-//     stride from the arena (the old storage is abandoned — bump arenas
-//     never free — and growth stops once capacities plateau; the
-//     slab-grow meter feeds the steady-state allocation audit).
+//     stride in a fresh vector (the old one is freed, and growth stops
+//     once capacities plateau; the slab-grow meter feeds the steady-state
+//     allocation audit).
 // Accessors that used to return vectors return std::spans over the slabs,
 // valid until the next mutating call.
 //
@@ -53,10 +52,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "schedule/load_index.h"
 #include "schedule/types.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/lifetime.h"
 
@@ -68,11 +67,6 @@ class SlotSchedule {
   // placement_index: build and maintain the range-min placement index
   // (without it, the index queries fail a VOD_CHECK).
   SlotSchedule(int num_segments, int window, bool placement_index = true);
-
-  // Slabs point into the member arena: moving is fine (blocks are stable),
-  // copying would alias them.
-  SlotSchedule(SlotSchedule&&) = default;
-  SlotSchedule& operator=(SlotSchedule&&) = default;
 
   Slot now() const { return now_; }
   int window() const { return window_; }
@@ -181,14 +175,9 @@ class SlotSchedule {
   uint64_t total_index_updates() const {
     return index_ ? index_->total_updates() : 0;
   }
-  // Slab re-layouts (row capacity doublings) since construction, and the
-  // arena's system-block count: both must be flat across a steady-state
-  // slot (tests/alloc_audit_test.cc).
+  // Slab re-layouts (row capacity doublings) since construction: flat
+  // across a steady-state slot (tests/alloc_audit_test.cc).
   uint64_t total_slab_grows() const { return slab_grows_; }
-  uint64_t total_arena_blocks() const {
-    return arena_.total_block_allocations();
-  }
-  uint64_t total_arena_bytes() const { return arena_.total_bytes_requested(); }
 
  private:
   // Test-only backdoor (tests/schedule_auditor_test.cc) used to inject
@@ -200,20 +189,20 @@ class SlotSchedule {
   }
 
   Segment* contents_row(size_t pos) VOD_LIFETIMEBOUND {
-    return contents_slab_ + pos * contents_cap_;
+    return contents_slab_.data() + pos * contents_cap_;
   }
   const Segment* contents_row(size_t pos) const VOD_LIFETIMEBOUND {
-    return contents_slab_ + pos * contents_cap_;
+    return contents_slab_.data() + pos * contents_cap_;
   }
   Slot* seg_row(size_t j) VOD_LIFETIMEBOUND {
-    return seg_slab_ + j * seg_cap_;
+    return seg_slab_.data() + j * seg_cap_;
   }
   const Slot* seg_row(size_t j) const VOD_LIFETIMEBOUND {
-    return seg_slab_ + j * seg_cap_;
+    return seg_slab_.data() + j * seg_cap_;
   }
 
-  // Doubles the row stride of the respective slab and re-lays it out in
-  // fresh arena storage (the old slab is abandoned; see the layout note).
+  // Doubles the row stride of the respective slab and re-lays it out in a
+  // fresh vector, freeing the old one (see the layout note).
   void grow_contents();
   void grow_segments();
 
@@ -230,19 +219,18 @@ class SlotSchedule {
   Slot now_ = 0;
   int total_ = 0;
 
-  Arena arena_;        // backs every slab below
-  size_t ring_size_;   // power of two >= window + 1
-  size_t ring_mask_;   // ring_size_ - 1
+  size_t ring_size_;  // power of two >= window + 1
+  size_t ring_mask_;  // ring_size_ - 1
 
-  int* loads_ = nullptr;              // [ring_size_] instances per slot
-  Segment* contents_slab_ = nullptr;  // [ring_size_ * contents_cap_]
-  int* contents_len_ = nullptr;       // [ring_size_] row fill
-  size_t contents_cap_;               // contents row stride
+  std::vector<int> loads_;              // [ring_size_] instances per slot
+  std::vector<Segment> contents_slab_;  // [ring_size_ * contents_cap_]
+  std::vector<int> contents_len_;       // [ring_size_] row fill
+  size_t contents_cap_;                 // contents row stride
 
-  Slot* seg_slab_ = nullptr;  // [(num_segments_+1) * seg_cap_], rows asc
-  int* seg_len_ = nullptr;    // [num_segments_+1] row fill
-  size_t seg_cap_;            // per-segment row stride
-  Slot* latest_ = nullptr;    // [num_segments_+1] latest slot, 0 none
+  std::vector<Slot> seg_slab_;  // [(num_segments_+1) * seg_cap_], rows asc
+  std::vector<int> seg_len_;    // [num_segments_+1] row fill
+  size_t seg_cap_;              // per-segment row stride
+  std::vector<Slot> latest_;    // [num_segments_+1] latest slot, 0 none
 
   std::optional<LoadIndex> index_;  // range-min over loads_
   uint64_t instances_added_ = 0;    // lifetime op meters

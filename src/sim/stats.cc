@@ -73,7 +73,7 @@ Histogram::Histogram(double lo, double hi, size_t bins)
 
 void Histogram::add(double x) { add_n(x, 1); }
 
-void Histogram::add_n(double x, uint64_t n) {
+size_t Histogram::add_n(double x, uint64_t n) {
   double idx = (x - lo_) / width_;
   size_t i = 0;
   if (idx >= static_cast<double>(bins_.size())) {
@@ -83,6 +83,7 @@ void Histogram::add_n(double x, uint64_t n) {
   }
   bins_[i] += n;
   total_ += n;
+  return i;
 }
 
 double Histogram::quantile(double q) const {

@@ -69,7 +69,8 @@ class Histogram {
   Histogram(double lo, double hi, size_t bins);
 
   void add(double x);
-  void add_n(double x, uint64_t n);
+  // Adds `n` samples of `x` and returns the bin they landed in.
+  size_t add_n(double x, uint64_t n);
   uint64_t count() const { return total_; }
   // Smallest value v such that at least `q` fraction of samples are <= v
   // (bin upper edge; exact to bin resolution). Edge semantics are defined:

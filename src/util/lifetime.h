@@ -1,10 +1,10 @@
 // VOD_LIFETIMEBOUND — portability macro for [[clang::lifetimebound]].
 //
 // The slot kernel's accessors hand out views (std::span, raw pointers)
-// into storage owned by the receiver: SlotSchedule's slab rows, Arena's
-// bump storage, StreamPool's cell slab. A view must not outlive its
-// owner, and clang can prove the temporary-owner case at compile time
-// when the owning parameter is annotated [[clang::lifetimebound]]:
+// into storage owned by the receiver: SlotSchedule's slab rows and
+// StreamPool's cell slab. A view must not outlive its owner, and clang
+// can prove the temporary-owner case at compile time when the owning
+// parameter is annotated [[clang::lifetimebound]]:
 //
 //   auto row = SlotSchedule(9, 9).advance();   // error under -Wdangling:
 //                                              // owner dies at the ';'
@@ -18,6 +18,9 @@
 //   * the annotation proves only the owner-outlives-view half. The other
 //     half — the owner mutating the storage under a live view — is what
 //     the vod-slab-span-escape clang-tidy check covers (tools/vod_tidy).
+//     At run time ASan reports a view read after a slab re-layout (the
+//     old vector is freed), but not one read after advance() recycled
+//     its ring row, which is live storage with a new tenant.
 //
 // gcc reports __has_cpp_attribute(clang::lifetimebound) == 0 and compiles
 // the same code with the macro empty; the clang CI build turns the

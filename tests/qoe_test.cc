@@ -91,6 +91,37 @@ TEST(SloTracker, SkippedEmptyWindowsCountAsClean) {
   EXPECT_EQ(t.alerts(), 1u);
 }
 
+TEST(SloTracker, RestartedClockClosesTheOpenWindow) {
+  // Two runs of a sweep, each restarting the slot clock at 0. Each run
+  // starts clean and ends with one hot sample (4 bad of 4) in fast window
+  // 10, which lies in slow window 1.
+  constexpr int64_t kHotSlot =
+      SloTracker::kSlowWindowSlots + 2 * SloTracker::kFastWindowSlots;
+  SloTracker t(0.1);
+  t.record(0, 4, 0);
+  t.record(kHotSlot, 4, 4);  // closes the clean windows 0 and skips 1..9
+  EXPECT_EQ(t.fast().windows, 10u);
+  EXPECT_EQ(t.slow().windows, 1u);
+  // Run 2's first sample closes run 1's hot windows as breached and opens
+  // window 0 afresh; a backward jump credits no skipped windows.
+  t.record(0, 4, 0);
+  EXPECT_EQ(t.fast().windows, 11u);
+  EXPECT_EQ(t.fast().breached, 1u);
+  EXPECT_EQ(t.slow().windows, 2u);
+  EXPECT_EQ(t.slow().breached, 1u);
+  t.record(kHotSlot, 4, 4);
+  // A third run's first sample closes run 2's hot windows: both runs'
+  // hot windows count.
+  t.record(0, 4, 0);
+  EXPECT_EQ(t.fast().windows, 22u);
+  EXPECT_EQ(t.fast().breached, 2u);
+  EXPECT_DOUBLE_EQ(t.fast().max_burn, 10.0);
+  EXPECT_EQ(t.slow().windows, 4u);
+  EXPECT_EQ(t.slow().breached, 2u);
+  EXPECT_EQ(t.total(), 20u);
+  EXPECT_EQ(t.bad(), 8u);
+}
+
 TEST(QoeShard, RecordsAdmissionsIntoContextGroup) {
   QoeShard q;
   EXPECT_TRUE(q.groups().empty());
