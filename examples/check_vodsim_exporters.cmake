@@ -1,17 +1,18 @@
-# Runs vodsim (-DVODSIM=<path>) twice with observability outputs written
-# under -DOUT=<dir>: an adaptive catalog (trace, metrics, and a QoE file
-# that holds its flight-recorder decisions, since no catalog client's wait
-# or continuity can vary) and a batching run (QoE and SLO JSONL: batching's
-# clients wait for the next batch boundary). It checks every file with
-# scripts/validate_trace.py and renders the batching QoE/SLO and the
-# adaptive decisions with scripts/qoe_report.py (-DSCRIPTS=<dir>,
-# -DPYTHON3=<interpreter>), the same runs CI's exporter-validation step
-# makes. Without a python3 it prints "python3 not found" and the ctest
-# reports a skip.
+# Runs vodsim (-DVODSIM=<path>) four times with observability outputs
+# written under -DOUT=<dir>: a single-video DHB run and a sharded catalog
+# run on four threads (trace and metrics each), an adaptive catalog (trace,
+# metrics, and a QoE file that holds its flight-recorder decisions, since
+# no catalog client's wait or continuity can vary) and a batching run (QoE
+# and SLO JSONL: batching's clients wait for the next batch boundary). It
+# checks every file with scripts/validate_trace.py and renders the batching
+# QoE/SLO and the adaptive decisions with scripts/qoe_report.py
+# (-DSCRIPTS=<dir>, -DPYTHON3=<interpreter>), which also proves the report
+# tool parses what the exporters write. Without a python3 it prints
+# "python3 not found" and the ctest reports a skip.
 #
 # -DVOD_OBSERVE=OFF names a tree built without the recording hooks: there
 # nothing records a QoE sample, an SLO window or a controller decision, so
-# the trace and metrics are validated as usual and the three files that
+# the traces and metrics are validated as usual and the three files that
 # hold those records must exist and be empty.
 #
 #   cmake -DVODSIM=build/examples/vodsim -DPYTHON3=python3 \
@@ -23,12 +24,18 @@ if(NOT PYTHON3)
 endif()
 
 file(MAKE_DIRECTORY "${OUT}")
+set(dhb_trace "${OUT}/dhb-trace.json")
+set(dhb_metrics "${OUT}/dhb-metrics.jsonl")
+set(multi_trace "${OUT}/multi-trace.json")
+set(multi_metrics "${OUT}/multi-metrics.jsonl")
 set(trace "${OUT}/adaptive-trace.json")
 set(metrics "${OUT}/adaptive-metrics.jsonl")
 set(decisions "${OUT}/adaptive-qoe.jsonl")
 set(qoe "${OUT}/batching-qoe.jsonl")
 set(slo "${OUT}/batching-slo.jsonl")
-foreach(run "--protocol;multi;--policy;adaptive;--videos;100;--threads;2;--hours;24;--trace-out;${trace};--metrics-out;${metrics};--qoe-out;${decisions}"
+foreach(run "--protocol;dhb;--hours;2;--trace-out;${dhb_trace};--metrics-out;${dhb_metrics}"
+            "--protocol;multi;--videos;40;--threads;4;--hours;1;--trace-out;${multi_trace};--metrics-out;${multi_metrics}"
+            "--protocol;multi;--policy;adaptive;--videos;100;--threads;2;--hours;24;--trace-out;${trace};--metrics-out;${metrics};--qoe-out;${decisions}"
             "--protocol;batching;--hours;24;--qoe-out;${qoe};--slo-out;${slo}")
   execute_process(COMMAND "${VODSIM}" ${run}
                   RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
@@ -46,8 +53,10 @@ function(run_script script)
   endif()
 endfunction()
 
+set(traces "${dhb_trace}" "${dhb_metrics}" "${multi_trace}" "${multi_metrics}"
+           "${trace}" "${metrics}")
 if(DEFINED VOD_OBSERVE AND NOT VOD_OBSERVE)
-  run_script(validate_trace.py "${trace}" "${metrics}")
+  run_script(validate_trace.py ${traces})
   foreach(file "${decisions}" "${qoe}" "${slo}")
     if(NOT EXISTS "${file}")
       message(FATAL_ERROR "vodsim wrote no ${file}")
@@ -58,8 +67,7 @@ if(DEFINED VOD_OBSERVE AND NOT VOD_OBSERVE)
     endif()
   endforeach()
 else()
-  run_script(validate_trace.py "${trace}" "${metrics}" "${decisions}" "${qoe}"
-             "${slo}")
+  run_script(validate_trace.py ${traces} "${decisions}" "${qoe}" "${slo}")
   run_script(qoe_report.py "${qoe}" "${slo}")
   run_script(qoe_report.py "${decisions}")
 endif()

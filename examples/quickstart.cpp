@@ -5,46 +5,69 @@
 // runs a short Poisson simulation and prints the headline metrics.
 //
 // Build & run:   cmake --build build && ./build/examples/quickstart
+#include <algorithm>
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "core/dhb.h"
 #include "core/dhb_simulator.h"
-#include "schedule/stream_pool.h"
+#include "protocols/static_mapping.h"
 
 using namespace vod;
 
 namespace {
 
 // Renders the server-side schedule produced by a sequence of (slot,
-// request) events, assigning instances to concrete streams first-fit.
+// request) events. A slot's row of the schedule is its channel layout:
+// entry k rides stream k, so each fresh instance sits on the lowest stream
+// idle in its slot, and a shared segment rides the instance already there.
 void demo_figures_4_and_5() {
   DhbConfig config;
   config.num_segments = 6;  // the paper's illustration size
   DhbScheduler scheduler(config);
-  StreamPool pool;
+  const SlotSchedule& schedule = scheduler.schedule();
+  // The schedule holds only the window ahead of its clock, so keep the
+  // rows of the slots it has moved through: sent[s - 1] is slot s's.
+  std::vector<std::vector<Segment>> sent;
 
+  auto advance = [&] {
+    const std::span<const Segment> row = scheduler.advance_slot_view();
+    sent.emplace_back(row.begin(), row.end());
+  };
+  auto row_of = [&](Slot s) -> std::span<const Segment> {
+    if (s <= schedule.now()) return sent[static_cast<size_t>(s - 1)];
+    if (s <= schedule.now() + schedule.window()) return schedule.contents(s);
+    return {};  // beyond the window nothing can be scheduled yet
+  };
+  auto render = [&](Slot first, Slot last) {
+    size_t streams = 0;
+    for (Slot s = first; s <= last; ++s) {
+      streams = std::max(streams, row_of(s).size());
+    }
+    return render_grid(static_cast<int>(streams), first, last,
+                       [&](int k, Slot s) {
+                         const std::span<const Segment> row = row_of(s);
+                         const size_t i = static_cast<size_t>(k);
+                         return i < row.size() ? row[i] : Segment{0};
+                       });
+  };
   auto admit = [&](const char* label) {
     const DhbRequestResult r = scheduler.on_request();
-    for (Segment j = 1; j <= config.num_segments; ++j) {
-      // Only freshly scheduled instances occupy new stream slots; shared
-      // segments ride transmissions that are already in the grid.
-      const Slot s = r.plan.reception_slot[static_cast<size_t>(j - 1)];
-      if (pool.at(0, s) != j && pool.at(1, s) != j) pool.assign(j, s);
-    }
     std::printf("%s: %d fresh instance(s), %d shared\n", label,
                 r.new_instances, r.shared_instances);
   };
 
-  scheduler.advance_slot_view();  // slot 1
+  advance();  // slot 1
   admit("request during slot 1 (idle system)   ");
   std::printf("\nFigure 4 — schedule after the first request:\n%s\n",
-              pool.render(1, 9).c_str());
+              render(1, 9).c_str());
 
-  scheduler.advance_slot_view();  // slot 2
-  scheduler.advance_slot_view();  // slot 3
+  advance();  // slot 2
+  advance();  // slot 3
   admit("request during slot 3 (overlapping)   ");
   std::printf("\nFigure 5 — combined schedules of both requests:\n%s\n",
-              pool.render(1, 9).c_str());
+              render(1, 9).c_str());
 }
 
 void demo_simulation() {

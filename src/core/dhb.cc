@@ -391,7 +391,12 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
   placements_.clear();
   placements_.reserve(static_cast<size_t>(n));
 
-  DhbRequestResult result;
+  // Built in the reused scratch and copied out only on success, so a
+  // refused attempt allocates nothing.
+  DhbRequestResult& result = result_scratch_;
+  result.new_instances = 0;
+  result.shared_instances = 0;
+  result.cap_violations = 0;
   result.plan.arrival_slot = arrival;
   result.plan.reception_slot.resize(static_cast<size_t>(n));
 

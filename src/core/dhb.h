@@ -327,9 +327,10 @@ class DhbScheduler {
   // scheduler's own history only; set_heuristic() drops it.
   std::vector<Slot> empty_plan_;
 
-  // Reusable admission result; admit() writes here and the public entry
-  // points copy out when their signature returns by value (the discard
-  // batch path never does).
+  // Reusable admission result; admit() and on_request_bounded() write
+  // here and the public entry points copy out when their signature
+  // returns by value (the discard batch path never does, and a refused
+  // bounded attempt returns nullopt).
   DhbRequestResult result_scratch_;
 
   // Per-admission scratch, reused so a warm admission allocates nothing.

@@ -1,39 +1,11 @@
 #include "protocols/fast_broadcasting.h"
 
-#include <numeric>
-
-#include "schedule/slot_math.h"
 #include "util/check.h"
 
 namespace vod {
 
-FbMapping::FbMapping(int num_segments) : n_(num_segments) {
-  VOD_CHECK(num_segments >= 1);
-  for (int first = 1; first <= n_; first *= 2) {
-    const int last = std::min(2 * first - 1, n_);
-    first_.push_back(first);
-    count_.push_back(last - first + 1);
-  }
-  cycle_ = 1;
-  for (int c : count_) cycle_ = std::lcm<Slot>(cycle_, c);
-}
-
-Segment FbMapping::segment_at(int stream, Slot slot) const {
-  VOD_DCHECK(stream >= 0 && stream < streams());
-  VOD_DCHECK(slot >= 1);
-  const size_t k = static_cast<size_t>(stream);
-  return static_cast<Segment>(
-      first_[k] + static_cast<int>(cycle_phase(slot, count_[k])));
-}
-
-int FbMapping::stream_of(Segment j) const {
-  VOD_CHECK(j >= 1 && j <= n_);
-  for (size_t k = 0; k < first_.size(); ++k) {
-    if (j < first_[k] + count_[k]) return static_cast<int>(k);
-  }
-  VOD_CHECK(false);
-  return -1;
-}
+FbMapping::FbMapping(int num_segments)
+    : RoundRobinMapping(num_segments, [](int j) { return 1 << (j - 1); }) {}
 
 int FbMapping::streams_for(int num_segments) {
   VOD_CHECK(num_segments >= 1);

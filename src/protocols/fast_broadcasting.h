@@ -11,39 +11,19 @@
 // mapping underlying the UD protocol's on-demand variant.
 #pragma once
 
-#include <vector>
-
 #include "protocols/static_mapping.h"
 
 namespace vod {
 
-class FbMapping final : public StaticMapping {
+class FbMapping final : public RoundRobinMapping {
  public:
   // Builds the generalized FB mapping for n segments.
   explicit FbMapping(int num_segments);
-
-  int streams() const override { return static_cast<int>(first_.size()); }
-  int num_segments() const override { return n_; }
-  Segment segment_at(int stream, Slot slot) const override;
-  Slot cycle_length() const override { return cycle_; }
-
-  // Stream (0-based) that carries segment j.
-  int stream_of(Segment j) const;
-  // Number of segments stream k rotates over (its repetition period).
-  int rotation_length(int stream) const {
-    return count_[static_cast<size_t>(stream)];
-  }
 
   // Streams FB needs for n segments: ceil(log2(n + 1)).
   static int streams_for(int num_segments);
   // Segments k full FB streams can carry: 2^k - 1.
   static int capacity(int streams);
-
- private:
-  int n_;
-  std::vector<int> first_;  // first segment of each stream
-  std::vector<int> count_;  // segments carried by each stream
-  Slot cycle_;
 };
 
 }  // namespace vod

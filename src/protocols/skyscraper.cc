@@ -1,8 +1,5 @@
 #include "protocols/skyscraper.h"
 
-#include <numeric>
-
-#include "schedule/slot_math.h"
 #include "util/check.h"
 
 namespace vod {
@@ -29,27 +26,8 @@ int skyscraper_width(int j) {
   return w;
 }
 
-SbMapping::SbMapping(int num_segments) : n_(num_segments) {
-  VOD_CHECK(num_segments >= 1);
-  int first = 1;
-  for (int j = 1; first <= n_; ++j) {
-    const int width = skyscraper_width(j);
-    const int count = std::min(width, n_ - first + 1);
-    first_.push_back(first);
-    count_.push_back(count);
-    first += count;
-  }
-  cycle_ = 1;
-  for (int c : count_) cycle_ = std::lcm<Slot>(cycle_, c);
-}
-
-Segment SbMapping::segment_at(int stream, Slot slot) const {
-  VOD_DCHECK(stream >= 0 && stream < streams());
-  VOD_DCHECK(slot >= 1);
-  const size_t k = static_cast<size_t>(stream);
-  return static_cast<Segment>(
-      first_[k] + static_cast<int>(cycle_phase(slot, count_[k])));
-}
+SbMapping::SbMapping(int num_segments)
+    : RoundRobinMapping(num_segments, skyscraper_width) {}
 
 int SbMapping::streams_for(int num_segments) {
   VOD_CHECK(num_segments >= 1);

@@ -14,8 +14,6 @@
 // the comparison §2 makes.
 #pragma once
 
-#include <vector>
-
 #include "protocols/static_mapping.h"
 
 namespace vod {
@@ -23,27 +21,16 @@ namespace vod {
 // w(j) for j >= 1: 1, 2, 2, 5, 5, 12, 12, 25, 25, 52, 52, ...
 int skyscraper_width(int j);
 
-class SbMapping final : public StaticMapping {
+class SbMapping final : public RoundRobinMapping {
  public:
   // Builds the SB mapping for n segments; the last stream may carry a
   // truncated group.
   explicit SbMapping(int num_segments);
 
-  int streams() const override { return static_cast<int>(first_.size()); }
-  int num_segments() const override { return n_; }
-  Segment segment_at(int stream, Slot slot) const override;
-  Slot cycle_length() const override { return cycle_; }
-
   // Streams SB needs for n segments.
   static int streams_for(int num_segments);
   // Segments k SB streams can carry: sum of the first k widths.
   static int capacity(int streams);
-
- private:
-  int n_;
-  std::vector<int> first_;
-  std::vector<int> count_;
-  Slot cycle_;
 };
 
 }  // namespace vod

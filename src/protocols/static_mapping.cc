@@ -1,10 +1,45 @@
 #include "protocols/static_mapping.h"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 
+#include "schedule/slot_math.h"
 #include "util/check.h"
 
 namespace vod {
+
+RoundRobinMapping::RoundRobinMapping(int num_segments,
+                                     const std::function<int(int)>& width)
+    : n_(num_segments) {
+  VOD_CHECK(num_segments >= 1);
+  for (int j = 1, first = 1; first <= n_; ++j) {
+    const int count = std::min(width(j), n_ - first + 1);
+    VOD_CHECK(count >= 1);
+    first_.push_back(first);
+    count_.push_back(count);
+    first += count;
+  }
+  cycle_ = 1;
+  for (int c : count_) cycle_ = std::lcm<Slot>(cycle_, c);
+}
+
+Segment RoundRobinMapping::segment_at(int stream, Slot slot) const {
+  VOD_DCHECK(stream >= 0 && stream < streams());
+  VOD_DCHECK(slot >= 1);
+  const size_t k = static_cast<size_t>(stream);
+  return static_cast<Segment>(
+      first_[k] + static_cast<int>(cycle_phase(slot, count_[k])));
+}
+
+int RoundRobinMapping::stream_of(Segment j) const {
+  VOD_CHECK(j >= 1 && j <= n_);
+  for (size_t k = 0; k < first_.size(); ++k) {
+    if (j < first_[k] + count_[k]) return static_cast<int>(k);
+  }
+  VOD_CHECK(false);
+  return -1;
+}
 
 MappingValidation validate_mapping(const StaticMapping& m) {
   MappingValidation v;
@@ -85,15 +120,16 @@ std::vector<Slot> first_occurrences(const StaticMapping& m, Slot arrival) {
   return out;
 }
 
-std::string render_mapping(const StaticMapping& m, Slot first, Slot last) {
+std::string render_grid(int streams, Slot first, Slot last,
+                        const std::function<Segment(int, Slot)>& segment_at) {
   std::ostringstream os;
   os << "Slot      ";
   for (Slot s = first; s <= last; ++s) os << '\t' << s;
   os << '\n';
-  for (int k = 0; k < m.streams(); ++k) {
+  for (int k = 0; k < streams; ++k) {
     os << "Stream " << (k + 1) << "  ";
     for (Slot s = first; s <= last; ++s) {
-      const Segment j = m.segment_at(k, s);
+      const Segment j = segment_at(k, s);
       os << '\t';
       if (j == 0) {
         os << '-';
@@ -104,6 +140,12 @@ std::string render_mapping(const StaticMapping& m, Slot first, Slot last) {
     os << '\n';
   }
   return os.str();
+}
+
+std::string render_mapping(const StaticMapping& m, Slot first, Slot last) {
+  return render_grid(m.streams(), first, last, [&m](int k, Slot s) {
+    return m.segment_at(k, s);
+  });
 }
 
 }  // namespace vod

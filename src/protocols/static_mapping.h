@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,35 @@ class StaticMapping {
   virtual Slot cycle_length() const = 0;
 };
 
+// A mapping of consecutive segment groups, one per stream: stream k
+// round-robins its group's segments, so each repeats every width_k slots.
+// FB and SB are two of them and differ only in their group widths.
+class RoundRobinMapping : public StaticMapping {
+ public:
+  int streams() const override { return static_cast<int>(first_.size()); }
+  int num_segments() const override { return n_; }
+  Segment segment_at(int stream, Slot slot) const override;
+  Slot cycle_length() const override { return cycle_; }
+
+  // Stream (0-based) that carries segment j.
+  int stream_of(Segment j) const;
+  // Number of segments stream k rotates over (its repetition period).
+  int rotation_length(int stream) const {
+    return count_[static_cast<size_t>(stream)];
+  }
+
+ protected:
+  // Stream j (1-based) carries the next width(j) segments; the last
+  // group is cut at n.
+  RoundRobinMapping(int num_segments, const std::function<int(int)>& width);
+
+ private:
+  int n_;
+  std::vector<int> first_;  // first segment of each stream
+  std::vector<int> count_;  // segments carried by each stream
+  Slot cycle_;
+};
+
 struct MappingValidation {
   bool ok = true;
   std::string error;  // human-readable description of the first failure
@@ -51,8 +81,13 @@ MappingValidation validate_mapping(const StaticMapping& m);
 // variants (UD, dNPB) and by tests.
 std::vector<Slot> first_occurrences(const StaticMapping& m, Slot arrival);
 
-// Renders slots [first, last] as a stream/slot grid (the paper's Figures
-// 1-3 style).
+// Renders slots [first, last] of `streams` streams as the grid of the
+// paper's Figures 1-5: a row of slot numbers, then one row per stream with
+// cells "S3" (segment_at(stream, slot) == 3) or "-" (0, idle).
+std::string render_grid(int streams, Slot first, Slot last,
+                        const std::function<Segment(int, Slot)>& segment_at);
+
+// render_grid() over a static mapping's streams (Figures 1-3).
 std::string render_mapping(const StaticMapping& m, Slot first, Slot last);
 
 }  // namespace vod

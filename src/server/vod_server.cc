@@ -1,7 +1,6 @@
 #include "server/vod_server.h"
 
 #include <algorithm>
-#include <span>
 
 #include "obs/trace.h"
 #include "schedule/client_plan.h"
@@ -11,23 +10,13 @@ namespace vod {
 
 VodServer::VodServer(const DhbConfig& config) : scheduler_(config) {}
 
-std::vector<ServerTransmission> VodServer::advance_slot() {
+std::span<const Segment> VodServer::advance_slot() {
   VOD_DCHECK_SERIAL(serial_);
   const std::span<const Segment> segments = scheduler_.advance_slot_view();
   VOD_TRACE_COUNTER("streams", "dhb", scheduler_.current_slot(),
                     segments.size());
-
-  // Channel assignment is per slot: instances occupy a channel for exactly
-  // one slot, so the lowest channels are handed out in scheduling order.
-  std::vector<ServerTransmission> out;
-  out.reserve(segments.size());
-  for (size_t k = 0; k < segments.size(); ++k) {
-    out.push_back(ServerTransmission{static_cast<int>(k), segments[k]});
-  }
-  channels_in_use_ = static_cast<int>(segments.size());
-  peak_channels_ = std::max(peak_channels_, channels_in_use_);
-  total_transmissions_ += segments.size();
-  return out;
+  peak_channels_ = std::max(peak_channels_, static_cast<int>(segments.size()));
+  return segments;
 }
 
 VodServer::ClientId VodServer::start() {

@@ -1,9 +1,9 @@
 // A session-oriented VOD server for one video.
 //
 // VodServer is the deployment-shaped wrapper around DhbScheduler: it
-// advances the slot clock, assigns each transmitted segment instance to a
-// concrete channel, and manages client sessions with the VCR operations
-// the protocol supports —
+// advances the slot clock, hands out each slot's transmissions by channel,
+// and manages client sessions with the VCR operations the protocol
+// supports —
 //
 //   start()   admit a client (watches S_1..S_n, one segment per slot);
 //   pause()   freeze playback; the client stops consuming (transmissions
@@ -30,18 +30,15 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/dhb.h"
 #include "schedule/types.h"
+#include "util/lifetime.h"
 #include "util/thread_checker.h"
 
 namespace vod {
-
-struct ServerTransmission {
-  int channel = 0;     // 0-based channel carrying this instance
-  Segment segment = 0;
-};
 
 class VodServer {
  public:
@@ -59,10 +56,15 @@ class VodServer {
 
   explicit VodServer(const DhbConfig& config);
 
-  // Advances one slot: returns the channel/segment pairs transmitted
-  // during the new current slot. Every watching session moves forward by
-  // one segment, which session() reads off the clock.
-  std::vector<ServerTransmission> advance_slot();
+  // Advances one slot and returns the segments transmitted during the new
+  // current slot: entry k rides channel k (0-based). An instance holds its
+  // channel for exactly one slot, so the schedule's row, in scheduling
+  // order, is the channel layout: each fresh instance takes the lowest
+  // channel idle in its slot, as in the paper's Figures 4 and 5. The span
+  // is the scheduler's (DhbScheduler::advance_slot_view()), valid until
+  // the next mutating call on this server. Every watching session moves
+  // forward by one segment, which session() reads off the clock.
+  std::span<const Segment> advance_slot() VOD_LIFETIMEBOUND;
 
   // Admits a new client during the current slot.
   ClientId start();
@@ -89,12 +91,10 @@ class VodServer {
     std::iota(ids.begin(), ids.end(), ClientId{1});
     return ids;
   }
-  // Channels busy during the current slot / the most ever needed at once.
-  int channels_in_use() const { return channels_in_use_; }
+  // The most channels any slot has needed at once.
   int peak_channels() const { return peak_channels_; }
-  uint64_t total_transmissions() const { return total_transmissions_; }
 
-  const DhbScheduler& scheduler() const { return scheduler_; }
+  const DhbScheduler& scheduler() const VOD_LIFETIMEBOUND { return scheduler_; }
 
  private:
   // One thread owns a server (sessions + the underlying scheduler); the
@@ -105,9 +105,7 @@ class VodServer {
   // Session id - 1 -> its record. A watching record holds its latest
   // (re-)admission; every other record holds the session as it is.
   std::vector<SessionInfo> sessions_;
-  int channels_in_use_ = 0;
   int peak_channels_ = 0;
-  uint64_t total_transmissions_ = 0;
 };
 
 }  // namespace vod

@@ -1,10 +1,11 @@
 // VOD_LIFETIMEBOUND — portability macro for [[clang::lifetimebound]].
 //
 // The slot kernel's accessors hand out views (std::span, raw pointers)
-// into storage owned by the receiver: SlotSchedule's slab rows and
-// StreamPool's cell slab. A view must not outlive its owner, and clang
-// can prove the temporary-owner case at compile time when the owning
-// parameter is annotated [[clang::lifetimebound]]:
+// into storage owned by the receiver: SlotSchedule's slab rows, and the
+// DhbScheduler and VodServer calls that pass them on. A view must not
+// outlive its owner, and clang can prove the temporary-owner case at
+// compile time when the owning parameter is annotated
+// [[clang::lifetimebound]]:
 //
 //   auto row = SlotSchedule(9, 9).advance();   // error under -Wdangling:
 //                                              // owner dies at the ';'

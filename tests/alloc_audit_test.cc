@@ -110,6 +110,37 @@ TEST(AllocAudit, CappedIndexedSteadySlotsAreAllocationFree) {
       << "a slab re-layout happened after warmup";
 }
 
+TEST(AllocAudit, RefusedBoundedAttemptsAllocateNothing) {
+  // Bounded admission builds its result in the scheduler's reused scratch
+  // and copies it out only on success: a refused attempt allocates
+  // nothing, and an admitted one exactly once, for the plan it returns.
+  DhbConfig config;  // n = 99: three attempts a slot at a cap of 4 streams
+  DhbScheduler dhb(config);
+  auto run = [&dhb](int slots) {
+    uint64_t admitted = 0;
+    for (int s = 0; s < slots; ++s) {
+      for (int a = 0; a < 3; ++a) {
+        if (dhb.on_request_bounded(4)) ++admitted;
+      }
+      dhb.advance_slot_view();
+    }
+    return admitted;
+  };
+  run(300);
+
+  const uint64_t slab_grows = dhb.schedule().total_slab_grows();
+  const uint64_t rejected = dhb.total_rejected_admissions();
+  const uint64_t heap_before = g_heap_allocations.load();
+  const uint64_t admitted = run(300);
+  EXPECT_EQ(g_heap_allocations.load() - heap_before, admitted)
+      << "a bounded attempt allocated beyond the plan it returns";
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(dhb.total_rejected_admissions(), rejected)
+      << "the cap never refused an attempt";
+  EXPECT_EQ(dhb.schedule().total_slab_grows(), slab_grows)
+      << "a slab re-layout happened after warmup";
+}
+
 TEST(AllocAudit, WarmupItselfIsBounded) {
   // Construction plus warmup allocates a handful of times (the slabs, the
   // plan buffers, a re-layout or two), and slab growth stops instead of
